@@ -12,9 +12,9 @@ implications on concrete inputs.
 __version__ = "0.1.0"
 
 from .algebra import (
-    CentralSeries,
     JacobiViolation,
     LieAlgebra,
+    SubspaceChain,
     ValidationReport,
     ascending_central_series,
     bracket_subspaces,
@@ -39,7 +39,6 @@ from .complex_structure import (
 from .errors import AlgebraFileError, HypothesisNotMet, InconsistencyError, LiecsError
 from .j_series import (
     SeriesReport,
-    SubspaceChain,
     center_dim_bounds,
     containment_audit,
     j_ascending_series,
@@ -86,7 +85,6 @@ from .verdicts import FAIL, HYPOTHESIS_NOT_MET, PASS, Verdict
 __all__ = [
     "AlgebraFileError",
     "CatalogEntry",
-    "CentralSeries",
     "ComplexStructure",
     "FAIL",
     "FullReport",

@@ -5,13 +5,18 @@ i < j, so antisymmetry holds by construction and [e_i, e_i] = 0 is not a
 representable input.  The Jacobi identity is *not* assumed; it is checked
 by :func:`validate`, and every downstream computation expects a validated
 algebra.
+
+Facts derived from an immutable object (its validation, its central
+series, and on a complex structure its integrability and series) are
+cached on that object and computed at most once.  The cache is per
+object: an equal but distinct object computes them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import InconsistencyError
@@ -23,12 +28,12 @@ from .linalg import (
     as_rational,
     basis_vector,
     clear_denominators,
+    int_row_times_matrix,
     is_zero_vector,
+    kernel_of_rows,
+    membership_conditions,
     zero_vector,
 )
-
-DESCENDING = "descending"
-ASCENDING = "ascending"
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,18 @@ class LieAlgebra:
     def is_abelian(self) -> bool:
         return not self.structure
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        return validate(self)
+
+    @cached_property
+    def descending_series(self) -> SubspaceChain:
+        return descending_central_series(self)
+
+    @cached_property
+    def ascending_series(self) -> SubspaceChain:
+        return ascending_central_series(self)
+
 
 @dataclass(frozen=True)
 class JacobiViolation:
@@ -228,14 +245,13 @@ def bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 
 
 @dataclass(frozen=True)
-class CentralSeries:
-    """A classical central series, stored without the repeated stable term.
+class SubspaceChain:
+    """A stabilized monotone chain of subspaces (stable term stored once).
 
     ``stabilized_at`` is the first index j with term(j) = term(j+1); it is
     always the index of the last stored term.
     """
 
-    kind: str
     terms: tuple[Subspace, ...]
     stabilized_at: int
 
@@ -246,9 +262,17 @@ class CentralSeries:
     def dims(self) -> tuple[int, ...]:
         return tuple(t.dim for t in self.terms)
 
+    def first_zero(self) -> int | None:
+        """Least j with term(j) = 0, or None when the chain stops above 0."""
+        return self.stabilized_at if self.terms[-1].is_zero() else None
 
-def _iterate_until_stable(first: Subspace, step, cap: int) -> tuple[Subspace, ...]:
-    """Apply ``step`` until two consecutive terms agree.
+    def first_full(self) -> int | None:
+        """Least j with term(j) the whole space, or None when it stops below."""
+        return self.stabilized_at if self.terms[-1].is_full() else None
+
+
+def chain_until_stable(first: Subspace, step, cap: int) -> SubspaceChain:
+    """Apply ``step`` from ``first`` until two consecutive terms agree.
 
     Monotone chains in dimension n stabilize within n steps; running past
     ``cap`` iterations therefore signals a broken step function.
@@ -257,66 +281,53 @@ def _iterate_until_stable(first: Subspace, step, cap: int) -> tuple[Subspace, ..
     for _ in range(cap):
         nxt = step(terms[-1])
         if nxt == terms[-1]:
-            return tuple(terms)
+            return SubspaceChain(tuple(terms), len(terms) - 1)
         terms.append(nxt)
-    raise InconsistencyError("series failed to stabilize within the dimension bound")
+    raise InconsistencyError("chain failed to stabilize within the dimension bound")
 
 
-@lru_cache(maxsize=128)
-def descending_central_series(alg: LieAlgebra) -> CentralSeries:
-    """c_0 = g, c_j = [g, c_{j-1}], computed until stabilization.
+def ascending_chain(dim: int, maps: Sequence[Sequence[int]]) -> SubspaceChain:
+    """a^0 = 0, a^j = {x : M x ∈ a^{j-1} for every map M in ``maps``}.
 
-    Memoized: algebras are immutable and the series is re-requested by
-    nearly every downstream check.
+    Each map is a dim × dim integer matrix, flattened row-major.  Each step
+    solves the stacked linear conditions C·M x = 0, where C cuts out the
+    previous term.  The conditions are assembled over cleared integers:
+    scaling individual condition rows never changes the solution space.
     """
-    full = Subspace.full(alg.dim)
-    terms = _iterate_until_stable(
-        full, lambda prev: bracket_subspaces(alg, full, prev), alg.dim + 1
-    )
-    return CentralSeries(DESCENDING, terms, len(terms) - 1)
-
-
-@lru_cache(maxsize=128)
-def ascending_central_series(alg: LieAlgebra) -> CentralSeries:
-    """c^0 = 0, c^j = {x : [x, g] ⊆ c^{j-1}}, computed until stabilization."""
-    from .linalg import (
-        int_row_times_matrix,
-        membership_conditions,
-        solve_membership_kernel_int,
-    )
-
-    n = alg.dim
-    ad_flats = [
-        clear_denominators(alg.right_bracket_matrix(i).entries) for i in range(n)
-    ]
 
     def step(prev: Subspace) -> Subspace:
         conds = membership_conditions(prev)
         if conds.rows == 0:
-            return Subspace.full(n)
+            return Subspace.full(dim)
         conds_int = [clear_denominators(conds.row(r)) for r in range(conds.rows)]
-        rows = []
-        for ad_flat in ad_flats:
-            for c_row in conds_int:
-                rows.append(int_row_times_matrix(c_row, ad_flat, n))
-        return solve_membership_kernel_int(rows, n)
+        rows = [int_row_times_matrix(c, flat, dim) for flat in maps for c in conds_int]
+        return Subspace(dim, kernel_of_rows(rows, dim))
 
-    terms = _iterate_until_stable(Subspace.zero(n), step, n + 1)
-    return CentralSeries(ASCENDING, terms, len(terms) - 1)
+    return chain_until_stable(Subspace.zero(dim), step, dim + 1)
+
+
+def descending_central_series(alg: LieAlgebra) -> SubspaceChain:
+    """c_0 = g, c_j = [g, c_{j-1}], computed until stabilization."""
+    full = Subspace.full(alg.dim)
+    return chain_until_stable(full, lambda prev: bracket_subspaces(alg, full, prev), alg.dim + 1)
+
+
+def ascending_central_series(alg: LieAlgebra) -> SubspaceChain:
+    """c^0 = 0, c^j = {x : [x, g] ⊆ c^{j-1}}: the ascending chain of the ad maps."""
+    return ascending_chain(
+        alg.dim,
+        [clear_denominators(alg.right_bracket_matrix(i).entries) for i in range(alg.dim)],
+    )
 
 
 def center(alg: LieAlgebra) -> Subspace:
     """The center {x : [x, g] = 0}; equals the first ascending term."""
-    series = ascending_central_series(alg)
-    return series.term(1)
+    return alg.ascending_series.term(1)
 
 
 def nilpotency_step(alg: LieAlgebra) -> int | None:
     """Least k with c_k = 0, or None when the descending series stops above 0."""
-    series = descending_central_series(alg)
-    if not series.terms[-1].is_zero():
-        return None
-    return series.stabilized_at
+    return alg.descending_series.first_zero()
 
 
 def change_of_basis(alg: LieAlgebra, p: Matrix) -> LieAlgebra:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
 from .algebra import LieAlgebra
 from .linalg import (
@@ -30,6 +31,10 @@ from .linalg import (
     subspace_intersection,
 )
 
+if TYPE_CHECKING:
+    from .j_series import SeriesReport
+    from .stratification import Stratification
+
 
 @dataclass(frozen=True)
 class ComplexStructure:
@@ -44,6 +49,29 @@ class ComplexStructure:
     def image(self, w: Subspace) -> Subspace:
         """The subspace J(w)."""
         return image_subspace(w, self.matrix)
+
+    @cached_property
+    def integrability(self) -> IntegrabilityReport:
+        return is_integrable(self)
+
+    @cached_property
+    def series(self) -> SeriesReport:
+        from .j_series import nilpotent_step
+
+        return nilpotent_step(self.algebra, self)
+
+    @cached_property
+    def step2_stratification(self) -> Stratification:
+        """The step-2 J-invariant stratification for the identity form.
+
+        Raises HypothesisNotMet when the algebra is not of step 2 or [n, n]
+        is not J-invariant; see ``build_step2_j_stratification``.
+        """
+        from .stratification import build_step2_j_stratification
+
+        return build_step2_j_stratification(
+            self.algebra, self, Matrix.identity(self.algebra.dim)
+        )
 
 
 def validate_almost_complex(alg: LieAlgebra, j: Matrix) -> ComplexStructure:

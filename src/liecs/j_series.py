@@ -21,80 +21,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    CentralSeries,
     LieAlgebra,
-    ascending_central_series,
+    SubspaceChain,
+    ascending_chain,
     bracket_subspaces,
-    descending_central_series,
+    chain_until_stable,
     nilpotency_step,
 )
 from .complex_structure import ComplexStructure, largest_j_invariant_subspace
 from .errors import InconsistencyError
-from .linalg import (
-    Subspace,
-    clear_denominators,
-    contains,
-    int_row_times_matrix,
-    membership_conditions,
-    solve_membership_kernel_int,
-    subspace_sum,
-)
+from .linalg import Subspace, clear_denominators, contains, subspace_sum
 from .verdicts import Verdict, checked, not_met
-
-
-@dataclass(frozen=True)
-class SubspaceChain:
-    """A stabilized monotone chain of subspaces (stable term stored once)."""
-
-    terms: tuple[Subspace, ...]
-    stabilized_at: int
-
-    def term(self, j: int) -> Subspace:
-        return self.terms[min(j, self.stabilized_at)]
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(t.dim for t in self.terms)
-
-
-def _chain(first: Subspace, step, cap: int) -> SubspaceChain:
-    terms = [first]
-    for _ in range(cap):
-        nxt = step(terms[-1])
-        if nxt == terms[-1]:
-            return SubspaceChain(tuple(terms), len(terms) - 1)
-        terms.append(nxt)
-    raise InconsistencyError("chain failed to stabilize within the dimension bound")
 
 
 def j_ascending_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
     """The ascending chain d^j, each term J-invariant by construction.
 
-    Each step solves the stacked linear conditions "C·[x, e_i] = 0 and
-    C·[Jx, e_i] = 0 for all i" where C cuts out the previous term.  The
-    conditions are assembled over cleared integers: scaling individual
-    condition rows never changes the solution space.
+    It is the ascending chain of the maps x -> [x, e_i] and x -> [Jx, e_i]
+    for every basis index i.
     """
-    n = alg.dim
     maps = []
-    for i in range(n):
+    for i in range(alg.dim):
         ad = alg.right_bracket_matrix(i)
-        maps.append(
-            (clear_denominators(ad.entries), clear_denominators((ad @ cs.matrix).entries))
-        )
-
-    def step(prev: Subspace) -> Subspace:
-        conds = membership_conditions(prev)
-        if conds.rows == 0:
-            return Subspace.full(n)
-        conds_int = [clear_denominators(conds.row(r)) for r in range(conds.rows)]
-        rows = []
-        for ad_flat, adj_flat in maps:
-            for c_row in conds_int:
-                rows.append(int_row_times_matrix(c_row, ad_flat, n))
-                rows.append(int_row_times_matrix(c_row, adj_flat, n))
-        return solve_membership_kernel_int(rows, n)
-
-    return _chain(Subspace.zero(n), step, n + 1)
+        maps.append(clear_denominators(ad.entries))
+        maps.append(clear_denominators((ad @ cs.matrix).entries))
+    return ascending_chain(alg.dim, maps)
 
 
 def j_descending_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
@@ -105,7 +56,7 @@ def j_descending_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
         derived = bracket_subspaces(alg, prev, full)
         return subspace_sum(derived, cs.image(derived))
 
-    return _chain(full, step, alg.dim + 1)
+    return chain_until_stable(full, step, alg.dim + 1)
 
 
 def p_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
@@ -118,7 +69,7 @@ def p_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
             bracket_subspaces(alg, cs.image(prev), full),
         )
 
-    return _chain(full, step, alg.dim + 1)
+    return chain_until_stable(full, step, alg.dim + 1)
 
 
 @dataclass(frozen=True)
@@ -133,8 +84,8 @@ class SeriesReport:
 
     algebra: LieAlgebra
     j: ComplexStructure
-    c_desc: CentralSeries
-    c_asc: CentralSeries
+    c_desc: SubspaceChain
+    c_asc: SubspaceChain
     d_asc: SubspaceChain
     d_desc: SubspaceChain
     p_desc: SubspaceChain
@@ -147,22 +98,7 @@ class SeriesReport:
 
     @property
     def algebra_step(self) -> int | None:
-        if not self.c_desc.terms[-1].is_zero():
-            return None
-        return self.c_desc.stabilized_at
-
-
-def _first_full(chain: SubspaceChain) -> int | None:
-    last = chain.terms[-1]
-    if not last.is_full():
-        return None
-    return chain.stabilized_at
-
-
-def _first_zero_descending(chain: SubspaceChain) -> int | None:
-    if not chain.terms[-1].is_zero():
-        return None
-    return chain.stabilized_at
+        return self.c_desc.first_zero()
 
 
 def nilpotent_step(alg: LieAlgebra, cs: ComplexStructure) -> SeriesReport:
@@ -178,9 +114,9 @@ def nilpotent_step(alg: LieAlgebra, cs: ComplexStructure) -> SeriesReport:
     d_desc = j_descending_series(alg, cs)
     p_desc = p_series(alg, cs)
     routes = {
-        "ascending": _first_full(d_asc),
-        "p_chain": _first_zero_descending(p_desc),
-        "descending": _first_zero_descending(d_desc),
+        "ascending": d_asc.first_full(),
+        "p_chain": p_desc.first_zero(),
+        "descending": d_desc.first_zero(),
     }
     values = set(routes.values())
     if len(values) != 1:
@@ -188,8 +124,8 @@ def nilpotent_step(alg: LieAlgebra, cs: ComplexStructure) -> SeriesReport:
     return SeriesReport(
         algebra=alg,
         j=cs,
-        c_desc=descending_central_series(alg),
-        c_asc=ascending_central_series(alg),
+        c_desc=alg.descending_series,
+        c_asc=alg.ascending_series,
         d_asc=d_asc,
         d_desc=d_desc,
         p_desc=p_desc,

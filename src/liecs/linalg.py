@@ -257,7 +257,9 @@ class Matrix:
             )
 
 
-def _row_reduce(work: list[list[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
+def _row_reduce(
+    work: Sequence[Sequence[Fraction | int]], width: int
+) -> tuple[list[list[Fraction]], list[int]]:
     """Gauss-Jordan over the first ``width`` columns.
 
     Returns the reduced rows (zero rows last, pivot rows normalized to
@@ -334,18 +336,25 @@ def rref(m: Matrix) -> Matrix:
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Canonical basis of ``{x : m @ x = 0}`` as rows of a matrix."""
-    reduced = rref(m)
-    pivots = _pivot_columns(reduced)
+    return kernel_of_rows([m.row(i) for i in range(m.rows)], m.cols)
+
+
+def kernel_of_rows(rows: Sequence[Sequence[Fraction | int]], cols: int) -> Matrix:
+    """:func:`kernel_basis` of the matrix with these rows, rational or integer.
+
+    The rows go to the row reduction as they are; it works over integers.
+    """
+    reduced, pivots = _row_reduce(rows, cols)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    rows = []
+    free = [j for j in range(cols) if j not in pivot_set]
+    basis = []
     for f in free:
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * cols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -reduced.at(r, f)
-        rows.append(v)
-    return rref(Matrix.from_rows(rows, cols=m.cols))
+            v[p] = -reduced[r][f]
+        basis.append(v)
+    return rref(Matrix.from_rows(basis, cols=cols))
 
 
 def _is_rref(m: Matrix) -> bool:
@@ -360,17 +369,6 @@ def _is_rref(m: Matrix) -> bool:
             return False
         prev_pivot = pivot
     return True
-
-
-def _pivot_columns(reduced: Matrix) -> list[int]:
-    pivots = []
-    for i in range(reduced.rows):
-        row = reduced.row(i)
-        for j, a in enumerate(row):
-            if a != 0:
-                pivots.append(j)
-                break
-    return pivots
 
 
 @dataclass(frozen=True)
@@ -543,12 +541,6 @@ def clear_denominators(vec: Sequence[Fraction]) -> list[int]:
     if lcm == 1:
         return [a.numerator for a in vec]
     return [a.numerator * (lcm // a.denominator) for a in vec]
-
-
-def solve_membership_kernel_int(rows: Sequence[Sequence[int]], ambient_dim: int) -> Subspace:
-    """Kernel of integer condition rows; see :func:`solve_membership_kernel`."""
-    conditions = Matrix.from_rows(rows, cols=ambient_dim)
-    return Subspace(ambient_dim, kernel_basis(conditions))
 
 
 def int_row_times_matrix(row: Sequence[int], flat: Sequence[int], cols: int) -> list[int]:

@@ -4,16 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, ValidationReport, validate
+from .algebra import LieAlgebra, ValidationReport
 from .complex_structure import (
     ComplexStructure,
     IntegrabilityReport,
     SpecialFlags,
     classify_special,
-    is_integrable,
 )
 from .errors import HypothesisNotMet
-from .j_series import SeriesReport, center_dim_bounds, containment_audit, nilpotent_step
+from .j_series import SeriesReport, center_dim_bounds, containment_audit
 from .linalg import format_rational
 from .serialization import chain_to_json, subspace_to_json
 from .stratification import (
@@ -146,7 +145,7 @@ def build_report(
     that ``suite`` and ``report`` are equal in content.  Commands needing
     a complex structure error out (in-band) when none is available.
     """
-    validation = validate(alg)
+    validation = alg.validation
     base = dict(
         command=command,
         source=source,
@@ -169,16 +168,16 @@ def build_report(
             )
         return FullReport(**base)  # report: emit what exists
 
-    series = nilpotent_step(alg, cs)
+    series = cs.series
     if command == "series":
         return FullReport(**base, series=series)
 
-    integrability = is_integrable(cs)
+    integrability = cs.integrability
     special = classify_special(cs)
     classification = None
     skip_reason = None
     try:
-        classification = classify_step2(alg, cs, strat, report=series)
+        classification = classify_step2(alg, cs, strat)
     except HypothesisNotMet as exc:
         skip_reason = str(exc)
     if command == "classify":
@@ -195,7 +194,7 @@ def build_report(
     verdicts.extend(containment_audit(series))
     verdicts.append(center_dim_bounds(alg, cs, series))
     verdicts.extend(stratification_obstructions(alg, strat))
-    verdicts.extend(theorem_suite(alg, cs, strat, report=series))
+    verdicts.extend(theorem_suite(alg, cs, strat))
     return FullReport(
         **base,
         series=series,

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import LieAlgebra
 from .catalog import standard_block_j
 from .complex_structure import ComplexStructure, is_integrable, validate_almost_complex
 from .linalg import Matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_RESTARTS = 100
 DEFAULT_THRESHOLD = 1e-10
@@ -43,6 +45,8 @@ def _verify_candidate(alg: LieAlgebra, j: Matrix) -> ComplexStructure | None:
 
 
 def _dense_structure_tensor(alg: LieAlgebra) -> np.ndarray:
+    import numpy as np
+
     c = np.zeros((alg.dim, alg.dim, alg.dim))
     for i, j, coeffs in alg.structure:
         vec = np.array([float(x) for x in coeffs])
@@ -53,6 +57,8 @@ def _dense_structure_tensor(alg: LieAlgebra) -> np.ndarray:
 
 def _nijenhuis_residual(c: np.ndarray, j: np.ndarray) -> float:
     """Sum of squared Nijenhuis values over basis pairs, in floats."""
+    import numpy as np
+
     n = j.shape[0]
     bracket = lambda x, y: np.einsum("ijk,i,j->k", c, x, y)
     total = 0.0
@@ -118,7 +124,8 @@ def find_complex_structure(
     """
     if alg.dim % 2 != 0:
         raise ValueError(f"odd dimension {alg.dim}: no almost-complex structure exists")
-    from scipy.optimize import minimize  # deferred: keeps CLI start-up light
+    import numpy as np  # numpy and scipy deferred: keeps CLI start-up light
+    from scipy.optimize import minimize
 
     n = alg.dim
     j0 = standard_block_j(n)

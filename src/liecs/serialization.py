@@ -10,8 +10,9 @@ One JSON schema carries algebras in and out of the tool:
     }
 
 Indices are 1-based and i < j is enforced; rationals travel as canonical
-strings ("p" or "p/q").  Parsing validates the Jacobi identity and J² = -I
-before returning, so a parsed input is always a usable one.
+strings ("p" or "p/q").  Parsing validates the Jacobi identity, J² = -I
+and the stratification axioms before returning, so a parsed input is
+always a usable one.
 
 Report serialization is deterministic: canonical rational strings, sorted
 keys, fixed list orders.  Serializing the same report twice yields
@@ -24,11 +25,11 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import LieAlgebra, validate
+from .algebra import LieAlgebra
 from .complex_structure import ComplexStructure, validate_almost_complex
 from .errors import AlgebraFileError
 from .linalg import Matrix, Subspace, format_rational, parse_rational
-from .stratification import Stratification
+from .stratification import Stratification, verify_stratification
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,11 @@ class ParsedInput:
     algebra: LieAlgebra
     complex_structure: ComplexStructure | None
     stratification: Stratification | None
+
+
+def _is_json_int(value) -> bool:
+    """True for JSON integers; ``true`` and ``false`` parse as Python ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_rational_field(text, context: str):
@@ -52,7 +58,7 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
 
     Syntax errors carry the line/column from the JSON decoder; semantic
     errors name the violated invariant (index range, zero denominator,
-    Jacobi triple, J² entry).
+    Jacobi triple, J² entry, stratification property and layer).
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
@@ -67,7 +73,7 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
         raise AlgebraFileError("top-level value must be an object")
 
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_json_int(dim) or dim < 1:
         raise AlgebraFileError("'dim' must be a positive integer")
 
     brackets_raw = doc.get("brackets", [])
@@ -78,7 +84,7 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
         if not isinstance(item, dict):
             raise AlgebraFileError(f"brackets[{idx}] must be an object")
         i, j = item.get("i"), item.get("j")
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not (_is_json_int(i) and _is_json_int(j)):
             raise AlgebraFileError(f"brackets[{idx}]: 'i' and 'j' must be integers")
         if not 1 <= i < j <= dim:
             raise AlgebraFileError(
@@ -105,9 +111,9 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
         table[(i, j)] = coeffs
     algebra = LieAlgebra.from_brackets(dim, table, one_based=True)
 
-    report = validate(algebra)
-    if not report.ok:
-        triple = report.first_violation.triple
+    validation = algebra.validation
+    if not validation.ok:
+        triple = validation.first_violation.triple
         raise AlgebraFileError(
             f"Jacobi identity violated at basis triple {triple}"
         )
@@ -152,6 +158,13 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
                 )
             layers.append(Subspace.from_rows(dim, rows))
         strat = Stratification(tuple(layers))
+        verdict = verify_stratification(algebra, strat)
+        if not verdict.ok:
+            first = verdict.violations[0]
+            raise AlgebraFileError(
+                f"invalid stratification: {first.property_name} fails at layer "
+                f"{first.layer}: {first.detail}"
+            )
 
     return ParsedInput(algebra, cs, strat)
 

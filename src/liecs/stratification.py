@@ -19,23 +19,14 @@ bug or an invalid input, never new mathematics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .algebra import (
-    LieAlgebra,
-    bracket_subspaces,
-    center,
-    descending_central_series,
-    nilpotency_step,
-)
+from .algebra import LieAlgebra, bracket_subspaces, center, nilpotency_step
 from .complex_structure import (
     ComplexStructure,
-    is_integrable,
     j_invariant_inner_product,
     largest_j_invariant_subspace,
 )
 from .errors import HypothesisNotMet, InconsistencyError
-from .j_series import SeriesReport, nilpotent_step
 from .linalg import (
     Matrix,
     Subspace,
@@ -148,7 +139,7 @@ def verify_stratification(alg: LieAlgebra, s: Stratification) -> StratificationV
         )
 
     if sum_ok:
-        series = descending_central_series(alg)
+        series = alg.descending_series
         for j in range(k + 1):
             tail = Subspace.zero(alg.dim)
             for idx in range(j + 1, k + 1):
@@ -169,7 +160,6 @@ def is_strata_preserving(cs: ComplexStructure, s: Stratification) -> bool:
     return all(cs.image(layer) == layer for layer in s.layers)
 
 
-@lru_cache(maxsize=64)
 def build_step2_j_stratification(
     alg: LieAlgebra, cs: ComplexStructure, phi: Matrix
 ) -> Stratification:
@@ -179,12 +169,11 @@ def build_step2_j_stratification(
     psi = phi + Jᵀ phi J.  Requires the algebra to be nilpotent of step 2
     and [n, n] to be J-invariant; under those hypotheses the output always
     verifies and J preserves both layers (checked before returning).
-    Memoized on its immutable arguments.
     """
     step = nilpotency_step(alg)
     if step != 2:
         raise HypothesisNotMet(f"algebra is not nilpotent of step 2 (step is {step})")
-    derived = descending_central_series(alg).term(1)
+    derived = alg.descending_series.term(1)
     if cs.image(derived) != derived:
         raise HypothesisNotMet("[n, n] is not J-invariant")
     psi = j_invariant_inner_product(cs, phi)
@@ -219,15 +208,12 @@ def classify_step2(
     alg: LieAlgebra,
     cs: ComplexStructure,
     s: Stratification | None = None,
-    *,
-    report: SeriesReport | None = None,
 ) -> Step2Classification:
     """Classify (algebra, J) with algebra nilpotent of step 2.
 
     The case analysis depends only on n_2 = [n, n], which is canonical; a
     supplied stratification is only validated for consistency (its top
-    layer must be [n, n]).  A precomputed series report for the same pair
-    may be passed to skip recomputation.
+    layer must be [n, n]).
 
     Integrability is a real hypothesis here, not pedantry: the trichotomy
     uses the vanishing of the Nijenhuis tensor to see that [J n_2, n] is
@@ -236,9 +222,9 @@ def classify_step2(
     step = nilpotency_step(alg)
     if step != 2:
         raise HypothesisNotMet(f"algebra is not nilpotent of step 2 (step is {step})")
-    if not is_integrable(cs).integrable:
+    if not cs.integrability.integrable:
         raise HypothesisNotMet("complex structure is not integrable")
-    n2 = descending_central_series(alg).term(1)
+    n2 = alg.descending_series.term(1)
     if s is not None:
         verdict = verify_stratification(alg, s)
         if not verdict.ok:
@@ -252,17 +238,14 @@ def classify_step2(
         case, predicted = K_FULL, 2
     else:
         case, predicted = K_PROPER, 3
-    if report is None:
-        report = nilpotent_step(alg, cs)
-    if report.j0 != predicted:
+    j0 = cs.series.j0
+    if j0 != predicted:
         raise InconsistencyError(
-            f"classification predicts nilpotent step {predicted} but computed {report.j0}"
+            f"classification predicts nilpotent step {predicted} but computed {j0}"
         )
     strata_preserving = case == K_FULL
-    if strata_preserving:
-        built = build_step2_j_stratification(alg, cs, Matrix.identity(alg.dim))
-        if not is_strata_preserving(cs, built):
-            raise InconsistencyError("k = n_2 case did not yield a J-invariant stratification")
+    if strata_preserving and not is_strata_preserving(cs, cs.step2_stratification):
+        raise InconsistencyError("k = n_2 case did not yield a J-invariant stratification")
     z = center(alg)
     return Step2Classification(
         case=case,
@@ -299,8 +282,7 @@ def stratification_obstructions(
     triggered and the stated object cannot exist.
     """
     verdicts: list[Verdict] = []
-    series = descending_central_series(alg)
-    dims = series.dims()
+    dims = alg.descending_series.dims()
     step = nilpotency_step(alg)
     if step is not None and blocks_stratification_by_dims(alg.dim, dims):
         verdicts.append(
@@ -339,21 +321,18 @@ def _chains_equal(chain_a, chain_b, span: int) -> bool:
     return all(chain_a.term(j) == chain_b.term(j) for j in range(span + 1))
 
 
-def _invariant_stratification_exists(alg: LieAlgebra, cs: ComplexStructure) -> bool:
+def _invariant_stratification_exists(cs: ComplexStructure) -> bool:
     """Run the step-2 construction; building succeeds iff it self-verifies."""
     try:
-        built = build_step2_j_stratification(alg, cs, Matrix.identity(alg.dim))
+        return is_strata_preserving(cs, cs.step2_stratification)
     except (HypothesisNotMet, InconsistencyError):
         return False
-    return is_strata_preserving(cs, built)
 
 
 def theorem_suite(
     alg: LieAlgebra,
     cs: ComplexStructure,
     s: Stratification | None = None,
-    *,
-    report: SeriesReport | None = None,
 ) -> list[Verdict]:
     """Assert every applicable statement of the theorem battery.
 
@@ -361,8 +340,7 @@ def theorem_suite(
     conclusion asserted only when they hold.  Statements needing a
     stratification are skipped (hypothesis_not_met) when none is supplied.
     """
-    if report is None:
-        report = nilpotent_step(alg, cs)
+    report = cs.series
     verdicts: list[Verdict] = []
     k_alg = report.algebra_step
     z = report.center
@@ -438,7 +416,7 @@ def theorem_suite(
         verdicts.append(checked("two_dim_top_center_or_strata_preserving", preserves))
         if 2 <= z.dim <= 3 or (z.dim == 4 and cs.image(z) != z):
             n2 = s.layer(2)
-            ok = cs.image(n2) == n2 and _invariant_stratification_exists(alg, cs)
+            ok = cs.image(n2) == n2 and _invariant_stratification_exists(cs)
             verdicts.append(checked("two_dim_top_invariant_stratification_exists", ok))
         else:
             verdicts.append(
@@ -502,7 +480,7 @@ def theorem_suite(
     # admits a J-invariant stratification.
     if alg.dim == 6 and k_alg == 2 and c_desc.term(1).dim == 2:
         derived = c_desc.term(1)
-        ok = cs.image(derived) == derived and _invariant_stratification_exists(alg, cs)
+        ok = cs.image(derived) == derived and _invariant_stratification_exists(cs)
         verdicts.append(checked("six_dim_small_derived_invariant_stratification", ok))
     else:
         verdicts.append(

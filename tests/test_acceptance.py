@@ -245,7 +245,7 @@ def test_criterion_08_step2_classification(conjugated):
         assert cls.predicted_j0 in (2, 3)
         # classification is basis-independent, prediction always matches
         for case in conjugated[name]["cases"][:10]:
-            moved = classify_step2(case["alg"], case["cs"], report=case["report"])
+            moved = classify_step2(case["alg"], case["cs"])
             assert moved.case == case_name
             assert moved.predicted_j0 == case["report"].j0
     _line(8, "classification cases and predicted j0 match computed j0 everywhere")
@@ -288,7 +288,6 @@ def test_criterion_10_equivariance(conjugated):
                 entry.algebra,
                 entry.primary_structure,
                 entry.primary_stratification,
-                report=base,
             )
         }
         base_audit = [
@@ -296,9 +295,7 @@ def test_criterion_10_equivariance(conjugated):
         ]
         base_case = None
         if base.algebra_step == 2:
-            base_case = classify_step2(
-                entry.algebra, entry.primary_structure, report=base
-            ).case
+            base_case = classify_step2(entry.algebra, entry.primary_structure).case
         for case in conjugated[name]["cases"]:
             report = case["report"]
             assert report.j0 == base.j0
@@ -309,11 +306,11 @@ def test_criterion_10_equivariance(conjugated):
                 for a, b in zip(src.terms, dst.terms):
                     assert image_subspace(a, case["p"]) == b
             if base_case is not None:
-                moved = classify_step2(case["alg"], case["cs"], report=report)
+                moved = classify_step2(case["alg"], case["cs"])
                 assert moved.case == base_case
             moved_suite = {
                 v.name: v.status
-                for v in theorem_suite(case["alg"], case["cs"], case["strat"], report=report)
+                for v in theorem_suite(case["alg"], case["cs"], case["strat"])
             }
             assert moved_suite == base_suite
             assert [(v.name, v.status) for v in case["audit"]] == base_audit

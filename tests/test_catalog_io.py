@@ -140,6 +140,16 @@ def test_parse_enforces_index_order():
         parse_algebra_file(json.dumps(doc))
 
 
+def test_parse_rejects_boolean_integers():
+    for doc, message in (
+        ({"dim": True, "brackets": []}, "'dim' must be a positive integer"),
+        ({"dim": 3, "brackets": [{"i": True, "j": 2, "out": {"3": "1"}}]}, "must be integers"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": True, "out": {"3": "1"}}]}, "must be integers"),
+    ):
+        with pytest.raises(AlgebraFileError, match=message):
+            parse_algebra_file(json.dumps(doc))
+
+
 def test_parse_rejects_out_of_range_output():
     doc = {"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"5": "1"}}]}
     with pytest.raises(AlgebraFileError, match="out of range"):

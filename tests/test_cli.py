@@ -72,6 +72,25 @@ def test_jacobi_violation_file_exits_one_and_names_triple(tmp_path):
     assert any("(1, 2, 3)" in e for e in doc["errors"])
 
 
+def test_invalid_strata_file_exits_one_with_in_band_error(tmp_path):
+    from liecs import builtin, serialize_algebra
+
+    entry = builtin("kt4")
+    doc = json.loads(serialize_algebra(entry.algebra, entry.primary_structure))
+    doc["strata"] = [
+        [["1", "0", "0", "0"]],
+        [["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    ]
+    path = tmp_path / "bad_strata.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("-i", str(path), "--cmd", "classify")
+    assert result.returncode == 1
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["ok"] is False
+    assert any("generation fails at layer 2" in e for e in doc["errors"])
+
+
 def test_usage_error_exits_two():
     result = run_cli("--cmd", "report")  # missing --input
     assert result.returncode == 2

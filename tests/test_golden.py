@@ -1,0 +1,106 @@
+"""Golden reports, compared byte for byte.
+
+Every catalog entry runs through ``liecs.cli.main`` with each report
+command, in JSON and in markdown.  One seeded scramble of each nilpotent
+entry is written as an algebra file and run as ``report`` in JSON, which
+covers the file-parse path.  The outputs, the scrambled input files and
+the exit statuses (``exit_status.json``) must equal the files committed
+under ``tests/golden/``.
+
+A golden file changes only together with an explanation of each diff in
+``CHANGES.md``.  Regenerate all of them with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+from liecs import builtin, catalog_names, serialize_algebra
+from liecs.cli import main
+
+from conftest import conjugate_entry, random_invertible
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+COMMANDS = ("validate", "series", "classify", "suite", "report")
+FORMATS = {"json": "json", "markdown": "md"}
+STATUS_FILE = "exit_status.json"
+
+
+def _nilpotent_entries() -> list[str]:
+    return [name for name in catalog_names() if builtin(name).expected["step"] is not None]
+
+
+def _write_scrambles(workdir: Path) -> list[tuple[str, str]]:
+    """Write one seeded scramble per nilpotent entry; return (name, relative path)."""
+    (workdir / "scrambled").mkdir()
+    inputs = []
+    for name in _nilpotent_entries():
+        entry = builtin(name)
+        rng = random.Random(f"golden:{name}")
+        p = random_invertible(rng, entry.algebra.dim)
+        rel = f"scrambled/{name}.json"
+        (workdir / rel).write_bytes(serialize_algebra(*conjugate_entry(entry, p)))
+        inputs.append((name, rel))
+    return inputs
+
+
+def render(workdir: Path) -> dict[str, bytes]:
+    """Produce every golden file inside the empty directory ``workdir``.
+
+    The CLI runs with ``workdir`` as the current directory, so file
+    inputs are named by relative paths and the reports echo no machine
+    path.
+    """
+    runs = [
+        (f"{name}.{cmd}.{ext}", [name, "--cmd", cmd, "--format", fmt])
+        for name in catalog_names()
+        for cmd in COMMANDS
+        for fmt, ext in FORMATS.items()
+    ]
+    previous = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, rel in _write_scrambles(workdir):
+            runs.append((f"{name}-scrambled.report.json", [rel, "--cmd", "report"]))
+        status = {}
+        for out, argv in runs:
+            status[out] = main(["-i", *argv, "--out", out])
+    finally:
+        os.chdir(previous)
+    (workdir / STATUS_FILE).write_text(json.dumps(status, indent=2, sort_keys=True) + "\n")
+    return {
+        path.relative_to(workdir).as_posix(): path.read_bytes()
+        for path in sorted(workdir.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_golden_reports_are_byte_identical(tmp_path):
+    produced = render(tmp_path)
+    committed = {
+        path.relative_to(GOLDEN).as_posix(): path.read_bytes()
+        for path in sorted(GOLDEN.rglob("*"))
+        if path.is_file()
+    }
+    assert sorted(produced) == sorted(committed)
+    differing = [name for name in produced if produced[name] != committed[name]]
+    assert not differing, f"golden files differ: {differing}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        files = render(Path(scratch))
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    for name, data in files.items():
+        target = GOLDEN / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(data)
+    print(f"wrote {len(files)} golden files to {GOLDEN}", file=sys.stderr)

@@ -283,11 +283,11 @@ def test_route_disagreement_is_a_hard_failure(monkeypatch):
 
 def test_chain_stabilization_cap_is_a_hard_failure():
     from liecs import InconsistencyError
-    from liecs.j_series import _chain
+    from liecs.algebra import chain_until_stable
 
     flip = [Subspace.zero(2), Subspace.full(2)]
     with pytest.raises(InconsistencyError, match="stabilize"):
-        _chain(flip[0], lambda prev: flip[prev.dim == 0], cap=3)
+        chain_until_stable(flip[0], lambda prev: flip[prev.dim == 0], cap=3)
 
 
 def test_series_transport_under_conjugation(rng):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 import liecs.search as search_module
@@ -79,3 +82,12 @@ def test_budget_exhaustion_returns_none(monkeypatch):
     monkeypatch.setattr(search_module, "_verify_candidate", lambda alg, j: None)
     entry = builtin("a4")
     assert find_complex_structure(entry.algebra, seed=0, budget=3) is None
+
+
+def test_import_does_not_load_numpy():
+    code = (
+        "import sys, liecs; assert 'numpy' not in sys.modules; "
+        "import liecs.cli; assert 'numpy' not in sys.modules"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
