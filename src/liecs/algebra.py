@@ -6,6 +6,14 @@ representable input.  The Jacobi identity is *not* assumed; it is checked
 by :func:`validate`, and every downstream computation expects a validated
 algebra.
 
+Every bracket computation reads one representation, ``LieAlgebra.tensor``:
+the least common denominator D of the structure constants and, for every
+ordered pair (i, j), the sparse integer row of D·[e_i, e_j].  Jacobi
+sums, Nijenhuis values, brackets of subspaces and the ad maps are integer
+contractions of it; Python ints are unbounded, so nothing overflows.  A
+value leaves as a ``Fraction`` only at the API boundary, divided by the
+power of D (and of the other cleared denominators) it carries.
+
 Facts derived from an immutable object (its validation, its central
 series, and on a complex structure its integrability and series) are
 cached on that object and computed at most once.  The cache is per
@@ -17,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import InconsistencyError
@@ -24,15 +33,13 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    add_vectors,
     as_rational,
-    basis_vector,
     clear_denominators,
+    cleared,
     int_row_times_matrix,
     is_zero_vector,
     kernel_of_rows,
     membership_conditions,
-    zero_vector,
 )
 
 
@@ -85,91 +92,71 @@ class LieAlgebra:
         return LieAlgebra(dim, tuple(entries))
 
     @cached_property
-    def _pair_map(self) -> dict[tuple[int, int], Vector]:
-        return {(i, j): coeffs for i, j, coeffs in self.structure}
+    def tensor(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+        """The bracket as (D, rows): rows[i][j] is the sparse row of D·[e_i, e_j].
 
-    @cached_property
-    def _sparse_structure(self) -> tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]:
-        return tuple(
-            (i, j, tuple((k, c) for k, c in enumerate(coeffs) if c != 0))
-            for i, j, coeffs in self.structure
-        )
-
-    @cached_property
-    def _int_structure(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-        """Structure constants scaled by one global positive integer.
-
-        Used by direction-only computations (span of brackets), where a
-        uniform rescaling of the bracket changes nothing.
+        D is the least common denominator of the structure constants and a
+        row lists the (k, c) with c ≠ 0, so [e_i, e_j] = Σ (c / D) e_k.
+        Every ordered pair has a row: rows[j][i] is the negation of
+        rows[i][j] and rows[i][i] is empty.
         """
-        from math import gcd
+        d = lcm(*(c.denominator for _, _, coeffs in self.structure for c in coeffs))
+        rows = [[()] * self.dim for _ in range(self.dim)]
+        for i, j, coeffs in self.structure:
+            row = tuple((k, c.numerator * (d // c.denominator)) for k, c in enumerate(coeffs) if c)
+            rows[i][j] = row
+            rows[j][i] = tuple((k, -c) for k, c in row)
+        return d, tuple(tuple(r) for r in rows)
 
-        lcm = 1
-        for _, _, coeffs in self.structure:
-            for c in coeffs:
-                d = c.denominator
-                if d != 1:
-                    lcm = lcm * d // gcd(lcm, d)
-        return tuple(
-            (
-                i,
-                j,
-                tuple(
-                    (k, c.numerator * (lcm // c.denominator))
-                    for k, c in enumerate(coeffs)
-                    if c != 0
-                ),
-            )
-            for i, j, coeffs in self.structure
-        )
-
-    def _bracket_int(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
-        """Integer bracket of cleared vectors; a positive multiple of [x, y]."""
+    def bracket_int(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """D·[x, y] for integer vectors x and y."""
+        rows = self.tensor[1]
         out = [0] * self.dim
-        for i, j, sparse in self._int_structure:
-            weight = x[i] * y[j] - x[j] * y[i]
-            if weight:
-                for k, c in sparse:
-                    out[k] += weight * c
+        y_support = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                row = rows[i]
+                for j, b in y_support:
+                    w = a * b
+                    for k, c in row[j]:
+                        out[k] += w * c
         return out
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[e_i, e_j] for any pair of basis indices (0-based)."""
-        if i == j:
-            return zero_vector(self.dim)
-        if i < j:
-            return self._pair_map.get((i, j), zero_vector(self.dim))
-        coeffs = self._pair_map.get((j, i))
-        if coeffs is None:
-            return zero_vector(self.dim)
-        return tuple(-c for c in coeffs)
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise ValueError(f"basis pair ({i}, {j}) out of range for dimension {self.dim}")
+        d, rows = self.tensor
+        out = [Fraction(0)] * self.dim
+        for k, c in rows[i][j]:
+            out[k] = Fraction(c, d)
+        return tuple(out)
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """Bilinear extension of the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("bracket arguments must have length equal to dim")
-        out = [Fraction(0)] * self.dim
-        for i, j, sparse in self._sparse_structure:
-            weight = x[i] * y[j] - x[j] * y[i]
-            if weight != 0:
-                for k, c in sparse:
-                    out[k] += weight * c
-        return tuple(out)
+        (x_int, s), (y_int, t) = cleared(x), cleared(y)
+        den = self.tensor[0] * s * t
+        return tuple(Fraction(v, den) for v in self.bracket_int(x_int, y_int))
 
-    def right_bracket_matrix(self, i: int) -> Matrix:
-        """Matrix of the map x -> [x, e_i]."""
-        return self._right_bracket_matrices[i]
-
-    @cached_property
-    def _right_bracket_matrices(self) -> tuple[Matrix, ...]:
-        out = []
-        for i in range(self.dim):
-            cols = [self.bracket_basis(k, i) for k in range(self.dim)]
-            out.append(Matrix.from_rows(cols, cols=self.dim).transpose())
-        return tuple(out)
+    def right_ad(self, i: int) -> list[int]:
+        """The map x -> D·[x, e_i] as an integer matrix, flattened row-major."""
+        n = self.dim
+        rows = self.tensor[1]
+        flat = [0] * (n * n)
+        for m in range(n):
+            for k, c in rows[m][i]:
+                flat[k * n + m] = c
+        return flat
 
     def is_abelian(self) -> bool:
         return not self.structure
+
+    @cached_property
+    def stratification_verdicts(self) -> dict:
+        """Verdicts of ``verify_stratification`` by stratification (a memo)."""
+        return {}
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -206,23 +193,23 @@ def validate(alg: LieAlgebra) -> ValidationReport:
     """Check the Jacobi identity on every basis triple i < j < k.
 
     Antisymmetry needs no check: the storage format only admits
-    antisymmetric brackets.  Violations are reported, not raised, so that
-    callers can surface them in their own error channel.
+    antisymmetric brackets.  The cyclic sum is contracted from the integer
+    tensor, so it is D² times the residual.  Violations are reported, not
+    raised, so that callers can surface them in their own error channel.
     """
-    violations = []
+    d, rows = alg.tensor
     n = alg.dim
+    violations = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                ei, ej, ek = basis_vector(n, i), basis_vector(n, j), basis_vector(n, k)
-                residual = add_vectors(
-                    add_vectors(
-                        alg.bracket(alg.bracket(ei, ej), ek),
-                        alg.bracket(alg.bracket(ej, ek), ei),
-                    ),
-                    alg.bracket(alg.bracket(ek, ei), ej),
-                )
-                if not is_zero_vector(residual):
+                total = [0] * n
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, u in rows[a][b]:
+                        for l, v in rows[m][c]:
+                            total[l] += u * v
+                if any(total):
+                    residual = tuple(Fraction(v, d * d) for v in total)
                     violations.append(JacobiViolation((i + 1, j + 1, k + 1), residual))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
@@ -238,9 +225,7 @@ def bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("subspace ambient dimension does not match the algebra")
     a_int = [clear_denominators(u) for u in a.basis_rows()]
     b_int = [clear_denominators(v) for v in b.basis_rows()]
-    rows = [
-        w for u in a_int for v in b_int if any(w := alg._bracket_int(u, v))
-    ]
+    rows = [w for u in a_int for v in b_int if any(w := alg.bracket_int(u, v))]
     return Subspace.from_rows(alg.dim, rows)
 
 
@@ -314,10 +299,7 @@ def descending_central_series(alg: LieAlgebra) -> SubspaceChain:
 
 def ascending_central_series(alg: LieAlgebra) -> SubspaceChain:
     """c^0 = 0, c^j = {x : [x, g] ⊆ c^{j-1}}: the ascending chain of the ad maps."""
-    return ascending_chain(
-        alg.dim,
-        [clear_denominators(alg.right_bracket_matrix(i).entries) for i in range(alg.dim)],
-    )
+    return ascending_chain(alg.dim, [alg.right_ad(i) for i in range(alg.dim)])
 
 
 def center(alg: LieAlgebra) -> Subspace:

@@ -2,7 +2,8 @@
 
 Exit status contract: 0 when every computed check passed, 1 when the input
 is invalid or any verdict failed (the failure is also in the report body),
-2 on usage errors.
+2 on usage errors: a malformed or out-of-range argument, or an ``--out``
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -29,6 +30,18 @@ COMMANDS = ("validate", "series", "classify", "suite", "search", "report")
 USAGE_ERROR = 2
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    message = f"must be a positive integer, got {text!r}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liecs",
@@ -52,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument("--seed", type=int, default=0, help="search: RNG seed")
     parser.add_argument(
-        "--restarts", type=int, default=DEFAULT_RESTARTS, help="search: restart budget"
+        "--restarts", type=_positive_int, default=DEFAULT_RESTARTS, help="search: restart budget"
     )
     parser.add_argument(
         "--threshold",
@@ -62,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--den-cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_DENOMINATOR_CAP,
         help="search: largest denominator tried during rational reconstruction",
     )
@@ -99,13 +112,6 @@ def _load_input(raw: str):
         f"input {raw!r} is neither an existing file nor a builtin "
         f"({', '.join(catalog_names())})"
     )
-
-
-def _emit(data: bytes, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(data.decode("utf-8"))
-    else:
-        Path(out).write_bytes(data)
 
 
 def _run_search(args, source, alg) -> tuple[bytes, int]:
@@ -152,10 +158,7 @@ def _run_search(args, source, alg) -> tuple[bytes, int]:
     return ("\n".join(lines) + "\n").encode("utf-8"), 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
+def _run(args) -> tuple[bytes, int]:
     try:
         source, alg, cs, j_name, strat = _load_input(args.input)
     except AlgebraFileError as exc:
@@ -166,17 +169,27 @@ def main(argv: list[str] | None = None) -> int:
             "ok": False,
             "errors": [str(exc)],
         }
-        _emit(serialize_report(_SearchOutcome(doc), args.format), args.out)
-        return 1
+        return serialize_report(_SearchOutcome(doc), args.format), 1
 
     if args.cmd == "search":
-        data, status = _run_search(args, source, alg)
-        _emit(data, args.out)
-        return status
+        return _run_search(args, source, alg)
 
     report = build_report(args.cmd, source, alg, cs, j_name, strat)
-    _emit(serialize_report(report, args.format), args.out)
-    return 0 if report.ok else 1
+    return serialize_report(report, args.format), 0 if report.ok else 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    data, status = _run(args)
+    if args.out is None:
+        sys.stdout.write(data.decode("utf-8"))
+        return status
+    try:
+        Path(args.out).write_bytes(data)
+    except OSError as exc:
+        print(f"liecs: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return USAGE_ERROR
+    return status
 
 
 if __name__ == "__main__":

@@ -22,12 +22,10 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    add_vectors,
-    basis_vector,
+    cleared,
     image_subspace,
+    int_matvec,
     is_positive_definite,
-    is_zero_vector,
-    sub_vectors,
     subspace_intersection,
 )
 
@@ -45,6 +43,11 @@ class ComplexStructure:
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         return self.matrix.matvec(v)
+
+    @cached_property
+    def integer_matrix(self) -> tuple[list[int], int]:
+        """(J_int, q): J_int = q·J flattened row-major, q the lcm of J's denominators."""
+        return cleared(self.matrix.entries)
 
     def image(self, w: Subspace) -> Subspace:
         """The subspace J(w)."""
@@ -95,15 +98,23 @@ def validate_almost_complex(alg: LieAlgebra, j: Matrix) -> ComplexStructure:
     return ComplexStructure(alg, j)
 
 
+def _nijenhuis_int(cs: ComplexStructure, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """D·q²·N(x, y) for integer x, y, with B = D·[ , ] and J_int = q·J:
+
+        B(J_int x, J_int y) - q²·B(x, y) - J_int (B(J_int x, y) + B(x, J_int y)).
+    """
+    b = cs.algebra.bracket_int
+    j_int, q = cs.integer_matrix
+    jx, jy = int_matvec(j_int, x), int_matvec(j_int, y)
+    mixed = int_matvec(j_int, [u + v for u, v in zip(b(jx, y), b(x, jy))])
+    return [u - q * q * v - w for u, v, w in zip(b(jx, jy), b(x, y), mixed)]
+
+
 def nijenhuis(cs: ComplexStructure, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    """Exact value of N(x, y) for the bound structure."""
-    alg = cs.algebra
-    jx = cs.apply(x)
-    jy = cs.apply(y)
-    mixed = add_vectors(alg.bracket(jx, y), alg.bracket(x, jy))
-    return sub_vectors(
-        sub_vectors(alg.bracket(jx, jy), alg.bracket(x, y)), cs.apply(mixed)
-    )
+    """Exact value of N(x, y): the integer value of the cleared vectors, divided back."""
+    (x_int, s), (y_int, t) = cleared(x), cleared(y)
+    den = cs.algebra.tensor[0] * cs.integer_matrix[1] ** 2 * s * t
+    return tuple(Fraction(v, den) for v in _nijenhuis_int(cs, x_int, y_int))
 
 
 @dataclass(frozen=True)
@@ -120,14 +131,16 @@ class IntegrabilityReport:
 
 
 def is_integrable(cs: ComplexStructure) -> IntegrabilityReport:
-    """Evaluate N on all basis pairs i < j."""
+    """Evaluate N on all basis pairs i < j, as D·q²·N over the integers."""
     n = cs.algebra.dim
+    den = cs.algebra.tensor[0] * cs.integer_matrix[1] ** 2
+    units = [[int(i == k) for i in range(n)] for k in range(n)]
     witnesses = []
     for i in range(n):
         for j in range(i + 1, n):
-            value = nijenhuis(cs, basis_vector(n, i), basis_vector(n, j))
-            if not is_zero_vector(value):
-                witnesses.append((i + 1, j + 1, value))
+            value = _nijenhuis_int(cs, units[i], units[j])
+            if any(value):
+                witnesses.append((i + 1, j + 1, tuple(Fraction(v, den) for v in value)))
     return IntegrabilityReport(integrable=not witnesses, witnesses=tuple(witnesses))
 
 
@@ -144,20 +157,24 @@ class SpecialFlags:
 
 
 def classify_special(cs: ComplexStructure) -> SpecialFlags:
+    """Both flags on basis pairs i < j, compared as integer multiples by D·q².
+
+    With B = D·[ , ] and J_int = q·J, abelian reads B(J_int e_i, J_int e_j)
+    = q²·B(e_i, e_j) and bi-invariant reads J_int B(e_i, e_j) = B(J_int e_i, e_j).
+    """
     n = cs.algebra.dim
-    alg = cs.algebra
+    b = cs.algebra.bracket_int
+    j_int, q = cs.integer_matrix
+    units = [[int(i == k) for i in range(n)] for k in range(n)]
+    images = [int_matvec(j_int, e) for e in units]
     abelian = True
     bi_invariant = True
     for i in range(n):
-        ei = basis_vector(n, i)
-        jei = cs.apply(ei)
         for j in range(i + 1, n):
-            ej = basis_vector(n, j)
-            jej = cs.apply(ej)
-            plain = alg.bracket(ei, ej)
-            if abelian and alg.bracket(jei, jej) != plain:
+            plain = b(units[i], units[j])
+            if abelian and b(images[i], images[j]) != [q * q * v for v in plain]:
                 abelian = False
-            if bi_invariant and cs.apply(plain) != alg.bracket(jei, ej):
+            if bi_invariant and int_matvec(j_int, plain) != b(images[i], units[j]):
                 bi_invariant = False
             if not abelian and not bi_invariant:
                 return SpecialFlags(False, False)

@@ -30,7 +30,7 @@ from .algebra import (
 )
 from .complex_structure import ComplexStructure, largest_j_invariant_subspace
 from .errors import InconsistencyError
-from .linalg import Subspace, clear_denominators, contains, subspace_sum
+from .linalg import Subspace, contains, int_row_times_matrix, subspace_sum
 from .verdicts import Verdict, checked, not_met
 
 
@@ -38,14 +38,19 @@ def j_ascending_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
     """The ascending chain d^j, each term J-invariant by construction.
 
     It is the ascending chain of the maps x -> [x, e_i] and x -> [Jx, e_i]
-    for every basis index i.
+    for every basis index i, taken as the integer products D·ad_i and
+    D·ad_i·J_int; the scale factors do not change a kernel.
     """
+    n = alg.dim
+    j_int = cs.integer_matrix[0]
     maps = []
-    for i in range(alg.dim):
-        ad = alg.right_bracket_matrix(i)
-        maps.append(clear_denominators(ad.entries))
-        maps.append(clear_denominators((ad @ cs.matrix).entries))
-    return ascending_chain(alg.dim, maps)
+    for i in range(n):
+        ad = alg.right_ad(i)
+        maps.append(ad)
+        maps.append(
+            [v for r in range(n) for v in int_row_times_matrix(ad[r * n : (r + 1) * n], j_int, n)]
+        )
+    return ascending_chain(n, maps)
 
 
 def j_descending_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:

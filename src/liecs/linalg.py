@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -527,20 +527,19 @@ def orthogonal_complement(a: Subspace, gram: Matrix) -> Subspace:
     return solve_membership_kernel(conditions)
 
 
+def cleared(vec: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integer vector s·vec and the positive lcm s of its denominators."""
+    scale = lcm(*(a.denominator for a in vec))
+    return [a.numerator * (scale // a.denominator) for a in vec], scale
+
+
 def clear_denominators(vec: Sequence[Fraction]) -> list[int]:
     """Scale a rational vector by the positive lcm of denominators.
 
     The result spans the same line, which is all the row-space machinery
     needs; integer arithmetic is considerably cheaper than Fraction.
     """
-    lcm = 1
-    for a in vec:
-        d = a.denominator
-        if d != 1:
-            lcm = lcm * d // gcd(lcm, d)
-    if lcm == 1:
-        return [a.numerator for a in vec]
-    return [a.numerator * (lcm // a.denominator) for a in vec]
+    return cleared(vec)[0]
 
 
 def int_row_times_matrix(row: Sequence[int], flat: Sequence[int], cols: int) -> list[int]:
@@ -554,6 +553,12 @@ def int_row_times_matrix(row: Sequence[int], flat: Sequence[int], cols: int) -> 
                 if b:
                     out[j] += a * b
     return out
+
+
+def int_matvec(flat: Sequence[int], v: Sequence[int]) -> list[int]:
+    """Product ``M @ v`` for a flattened square integer matrix and an integer vector."""
+    n = len(v)
+    return [sum(a * b for a, b in zip(flat[r * n : (r + 1) * n], v) if b) for r in range(n)]
 
 
 def image_subspace(w: Subspace, m: Matrix) -> Subspace:

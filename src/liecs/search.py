@@ -44,14 +44,16 @@ def _verify_candidate(alg: LieAlgebra, j: Matrix) -> ComplexStructure | None:
     return cs
 
 
-def _dense_structure_tensor(alg: LieAlgebra) -> np.ndarray:
+def _float_tensor(alg: LieAlgebra) -> np.ndarray:
+    """c[i, j, k] = C_ij^k / D, correctly rounded like float(Fraction(C_ij^k, D))."""
     import numpy as np
 
+    d, rows = alg.tensor
     c = np.zeros((alg.dim, alg.dim, alg.dim))
-    for i, j, coeffs in alg.structure:
-        vec = np.array([float(x) for x in coeffs])
-        c[i, j] = vec
-        c[j, i] = -vec
+    for i, j, _ in alg.structure:
+        for k, v in rows[i][j]:
+            c[i, j, k] = v / d
+        c[j, i] = -c[i, j]
     return c
 
 
@@ -130,7 +132,7 @@ def find_complex_structure(
     n = alg.dim
     j0 = standard_block_j(n)
     rng = random.Random(seed)
-    c_tensor = _dense_structure_tensor(alg)
+    c_tensor = _float_tensor(alg)
     j0_float = np.array([[float(x) for x in j0.row(r)] for r in range(n)])
 
     def residual_from_flat(flat: np.ndarray) -> float:

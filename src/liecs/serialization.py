@@ -29,7 +29,7 @@ from .algebra import LieAlgebra
 from .complex_structure import ComplexStructure, validate_almost_complex
 from .errors import AlgebraFileError
 from .linalg import Matrix, Subspace, format_rational, parse_rational
-from .stratification import Stratification, verify_stratification
+from .stratification import Stratification, stratification_verdict
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
                 )
             layers.append(Subspace.from_rows(dim, rows))
         strat = Stratification(tuple(layers))
-        verdict = verify_stratification(algebra, strat)
+        verdict = stratification_verdict(algebra, strat)
         if not verdict.ok:
             first = verdict.violations[0]
             raise AlgebraFileError(

@@ -155,6 +155,19 @@ def verify_stratification(alg: LieAlgebra, s: Stratification) -> StratificationV
     return StratificationVerdict(ok=not violations, violations=tuple(violations))
 
 
+def stratification_verdict(alg: LieAlgebra, s: Stratification) -> StratificationVerdict:
+    """``verify_stratification(alg, s)``, computed once per (algebra, stratification).
+
+    The verdict is memoized on the algebra, keyed by the frozen
+    stratification, so the parse gate, the step-2 classification, the
+    obstructions and the theorem suite share one check.
+    """
+    verdicts = alg.stratification_verdicts
+    if s not in verdicts:
+        verdicts[s] = verify_stratification(alg, s)
+    return verdicts[s]
+
+
 def is_strata_preserving(cs: ComplexStructure, s: Stratification) -> bool:
     """True iff J maps every layer onto itself."""
     return all(cs.image(layer) == layer for layer in s.layers)
@@ -226,7 +239,7 @@ def classify_step2(
         raise HypothesisNotMet("complex structure is not integrable")
     n2 = alg.descending_series.term(1)
     if s is not None:
-        verdict = verify_stratification(alg, s)
+        verdict = stratification_verdict(alg, s)
         if not verdict.ok:
             raise ValueError(f"supplied stratification is invalid: {verdict.violations}")
         if s.step != 2 or s.layer(2) != n2:
@@ -297,7 +310,7 @@ def stratification_obstructions(
             not_met("no_stratification_exists", "dimension profile does not match")
         )
 
-    if s is not None and verify_stratification(alg, s).ok:
+    if s is not None and stratification_verdict(alg, s).ok:
         if s.step >= 2 and s.layer(1).dim == 2:
             verdicts.append(
                 checked(
@@ -347,7 +360,7 @@ def theorem_suite(
     c_desc = report.c_desc
     j0 = report.j0
 
-    strat_ok = s is not None and verify_stratification(alg, s).ok
+    strat_ok = s is not None and stratification_verdict(alg, s).ok
     d1 = report.d_asc.term(1)
 
     # All lower central series terms J-invariant => p_j = c_j and j0 = k.

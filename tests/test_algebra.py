@@ -65,6 +65,12 @@ def test_bracket_bilinear_expansion(kt4):
     assert kt4.bracket(x, basis_vector(4, 1)) == basis_vector(4, 2)
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (0, 4), (4, 4)])
+def test_bracket_basis_rejects_out_of_range_indices(kt4, pair):
+    with pytest.raises(ValueError, match="out of range"):
+        kt4.bracket_basis(*pair)
+
+
 def test_bracket_length_mismatch(kt4):
     with pytest.raises(ValueError, match="length"):
         kt4.bracket((Fraction(1),), basis_vector(4, 0))

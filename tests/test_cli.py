@@ -98,6 +98,32 @@ def test_usage_error_exits_two():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["--restarts", "-3"], "--restarts"),
+        (["--restarts", "0"], "--restarts"),
+        (["--den-cap", "0", "--threshold", "1e9"], "--den-cap"),
+        (["--den-cap", "two"], "--den-cap"),
+    ],
+)
+def test_nonpositive_search_arguments_are_usage_errors(args, option):
+    result = run_cli("-i", "f4", "--cmd", "search", *args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"argument {option}: must be a positive integer" in result.stderr
+
+
+def test_unwritable_out_is_a_one_line_usage_error(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    result = run_cli("-i", "kt4", "--out", str(out))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1 and str(out) in result.stderr
+    assert not out.exists()
+
+
 def test_unknown_input_exits_one():
     result = run_cli("-i", "not_a_thing")
     assert result.returncode == 1

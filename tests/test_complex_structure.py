@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from liecs import (
+    LieAlgebra,
     Matrix,
     Subspace,
     builtin,
@@ -15,9 +16,12 @@ from liecs import (
     nijenhuis,
     standard_block_j,
     subspace_sum,
+    validate,
     validate_almost_complex,
 )
 from liecs.linalg import basis_vector, vector
+
+from conftest import conjugate_entry
 
 
 # Independent oracle: expand the integrability expression entry by entry
@@ -66,15 +70,159 @@ def oracle_nijenhuis(alg, j_matrix, x, y):
     return [a - b - d for a, b, d in zip(term1, term2, term3)]
 
 
-def oracle_integrable(alg, j_matrix):
+def oracle_witnesses(alg, j_matrix):
+    """(i, j, N(e_i, e_j)) for every basis pair (1-based) with a nonzero value."""
     n = alg.dim
+    out = []
     for i in range(n):
         for j in range(i + 1, n):
             x = [Fraction(1) if k == i else Fraction(0) for k in range(n)]
             y = [Fraction(1) if k == j else Fraction(0) for k in range(n)]
-            if any(v != 0 for v in oracle_nijenhuis(alg, j_matrix, x, y)):
-                return False, (i + 1, j + 1)
+            value = oracle_nijenhuis(alg, j_matrix, x, y)
+            if any(v != 0 for v in value):
+                out.append((i + 1, j + 1, tuple(value)))
+    return out
+
+
+def oracle_integrable(alg, j_matrix):
+    witnesses = oracle_witnesses(alg, j_matrix)
+    if witnesses:
+        return False, witnesses[0][:2]
     return True, None
+
+
+def oracle_special(alg, j_matrix):
+    """(abelian, bi_invariant) on basis pairs i < j, as the library checks them."""
+    c = dense_table(alg)
+    j_rows = [list(j_matrix.row(r)) for r in range(j_matrix.rows)]
+    n = alg.dim
+    abelian = bi_invariant = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = [Fraction(int(k == i)) for k in range(n)]
+            y = [Fraction(int(k == j)) for k in range(n)]
+            jx, jy = oracle_apply(j_rows, x), oracle_apply(j_rows, y)
+            plain = oracle_bracket(c, x, y)
+            abelian &= oracle_bracket(c, jx, jy) == plain
+            bi_invariant &= oracle_apply(j_rows, plain) == oracle_bracket(c, jx, y)
+    return abelian, bi_invariant
+
+
+def oracle_jacobi_violations(alg):
+    """(triple, cyclic sum) for every basis triple i < j < k (1-based) that fails."""
+    c = dense_table(alg)
+    n = alg.dim
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                e = [[Fraction(int(m == a)) for m in range(n)] for a in (i, j, k)]
+                total = [Fraction(0)] * n
+                for a, b, d in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                    term = oracle_bracket(c, oracle_bracket(c, e[a], e[b]), e[d])
+                    total = [t + v for t, v in zip(total, term)]
+                if any(total):
+                    out.append(((i + 1, j + 1, k + 1), tuple(total)))
+    return out
+
+
+# -- exact values against the oracle -------------------------------------------
+#
+# The inputs carry non-unit denominators in the structure constants and in J,
+# so a wrong power of a cleared denominator changes the reported values.
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+
+
+def random_rational_invertible(rng, n):
+    while True:
+        m = Matrix.from_rows([[random_rational(rng) for _ in range(n)] for _ in range(n)])
+        if m.det() != 0:
+            return m
+
+
+def has_fraction(values):
+    return any(Fraction(v).denominator != 1 for v in values)
+
+
+def random_jacobi_violating(rng, n):
+    table = {
+        (i, j): {k: random_rational(rng) for k in range(1, n + 1)}
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    }
+    return LieAlgebra.from_brackets(n, table)
+
+
+def scrambled_structures():
+    """Scrambled f4, kt4 and ch6, each with its transported J and a generic J."""
+    rng = random.Random(41)
+    out = []
+    for name in ("f4", "kt4", "ch6"):
+        entry = builtin(name)
+        alg, cs, _ = conjugate_entry(entry, random_rational_invertible(rng, entry.algebra.dim))
+        q = random_rational_invertible(rng, alg.dim)
+        generic = validate_almost_complex(alg, q @ cs.matrix @ q.inverse())
+        out += [(f"{name}-transported", cs), (f"{name}-generic", generic)]
+    return out
+
+
+SCRAMBLED = scrambled_structures()
+
+
+def assert_bracket_matches_oracle(alg, rng):
+    c = dense_table(alg)
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            e_i = [Fraction(int(k == i)) for k in range(n)]
+            e_j = [Fraction(int(k == j)) for k in range(n)]
+            assert list(alg.bracket_basis(i, j)) == oracle_bracket(c, e_i, e_j)
+    for _ in range(10):
+        x = [random_rational(rng) for _ in range(n)]
+        y = [random_rational(rng) for _ in range(n)]
+        assert list(alg.bracket(x, y)) == oracle_bracket(c, x, y)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobi_residuals_equal_fraction_oracle(seed):
+    rng = random.Random(seed)
+    alg = random_jacobi_violating(rng, 4 + seed % 2)
+    report = validate(alg)
+    expected = oracle_jacobi_violations(alg)
+    assert expected and not report.ok
+    assert [(v.triple, v.residual) for v in report.violations] == expected
+    assert any(has_fraction(residual) for _, residual in expected)
+    assert_bracket_matches_oracle(alg, rng)
+
+
+@pytest.mark.parametrize("label,cs", SCRAMBLED, ids=[label for label, _ in SCRAMBLED])
+def test_nijenhuis_witnesses_equal_fraction_oracle(label, cs):
+    alg, j = cs.algebra, cs.matrix
+    assert has_fraction(c for _, _, coeffs in alg.structure for c in coeffs)
+    assert has_fraction(j.entries)
+    expected = oracle_witnesses(alg, j)
+    if label in ("f4-generic", "kt4-generic"):
+        assert expected  # the non-integrable inputs this test exists for
+    assert list(is_integrable(cs).witnesses) == expected
+    flags = classify_special(cs)
+    assert (flags.abelian, flags.bi_invariant) == oracle_special(alg, j)
+    rng = random.Random(label)
+    assert_bracket_matches_oracle(alg, rng)
+    n = alg.dim
+    for _ in range(10):
+        x = [random_rational(rng) for _ in range(n)]
+        y = [random_rational(rng) for _ in range(n)]
+        assert list(nijenhuis(cs, x, y)) == oracle_nijenhuis(alg, j, x, y)
+
+
+def test_special_flags_exercised_by_scrambled_inputs():
+    # the oracle comparison above must see both values of each flag
+    flags = {oracle_special(cs.algebra, cs.matrix) for _, cs in SCRAMBLED}
+    assert {a for a, _ in flags} == {True, False}
+    assert {b for _, b in flags} == {True, False}
 
 
 # -- validation --------------------------------------------------------------
