@@ -1,8 +1,8 @@
 """Exact-arithmetic toolkit for complex structures on rational Lie algebras.
 
 Core objects: :class:`~liecs.algebra.LieAlgebra` (rational structure
-constants), :class:`~liecs.linalg.Subspace` (canonical rational row
-spaces), :class:`~liecs.complex_structure.ComplexStructure` (J with
+constants), :class:`~liecs.linalg.Subspace` (rational row spaces
+in integer canonical form), :class:`~liecs.complex_structure.ComplexStructure` (J with
 J² = -I).  On top of these sit the classical and J-invariant central
 series, the nilpotent step of a complex structure, stratifications, a
 step-2 classification, and a theorem suite that re-checks the known

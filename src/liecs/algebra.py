@@ -17,7 +17,10 @@ power of D (and of the other cleared denominators) it carries.
 Facts derived from an immutable object (its validation, its central
 series, and on a complex structure its integrability and series) are
 cached on that object and computed at most once.  The cache is per
-object: an equal but distinct object computes them again.
+object: an equal but distinct object computes them again.  In the same
+way ``bracket_subspaces`` keeps each [a, b] in ``LieAlgebra.bracket_memo``,
+keyed by the unordered pair {a, b}: the five series, the audit and the
+stratification checks ask for [g, g] and the other brackets repeatedly.
 """
 
 from __future__ import annotations
@@ -34,12 +37,10 @@ from .linalg import (
     Subspace,
     Vector,
     as_rational,
-    clear_denominators,
     cleared,
+    int_kernel,
     int_row_times_matrix,
     is_zero_vector,
-    kernel_of_rows,
-    membership_conditions,
 )
 
 
@@ -154,6 +155,11 @@ class LieAlgebra:
         return not self.structure
 
     @cached_property
+    def bracket_memo(self) -> dict:
+        """Brackets of subspaces by unordered pair (a memo, see ``bracket_subspaces``)."""
+        return {}
+
+    @cached_property
     def stratification_verdicts(self) -> dict:
         """Verdicts of ``verify_stratification`` by stratification (a memo)."""
         return {}
@@ -218,15 +224,19 @@ def bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of [u, v] over basis vectors u of a and v of b.
 
     Bilinearity of the bracket makes basis pairs sufficient, so the result
-    is the subspace [a, b].  Each generating row is computed over cleared
-    integers; the per-row positive rescaling cannot change the span.
+    is the subspace [a, b].  The generating rows are D·[u, v] for the
+    integer canonical rows u, v; positive rescaling cannot change the span.
+    [a, b] = [b, a] as subspaces, so the result is memoized on the algebra
+    under the unordered pair.
     """
     if a.ambient_dim != alg.dim or b.ambient_dim != alg.dim:
         raise ValueError("subspace ambient dimension does not match the algebra")
-    a_int = [clear_denominators(u) for u in a.basis_rows()]
-    b_int = [clear_denominators(v) for v in b.basis_rows()]
-    rows = [w for u in a_int for v in b_int if any(w := alg.bracket_int(u, v))]
-    return Subspace.from_rows(alg.dim, rows)
+    key = frozenset((a, b))
+    found = alg.bracket_memo.get(key)
+    if found is None:
+        rows = [alg.bracket_int(u, v) for u in a.rows for v in b.rows]
+        found = alg.bracket_memo[key] = Subspace.from_int_rows(alg.dim, rows)
+    return found
 
 
 @dataclass(frozen=True)
@@ -275,18 +285,16 @@ def ascending_chain(dim: int, maps: Sequence[Sequence[int]]) -> SubspaceChain:
     """a^0 = 0, a^j = {x : M x ∈ a^{j-1} for every map M in ``maps``}.
 
     Each map is a dim × dim integer matrix, flattened row-major.  Each step
-    solves the stacked linear conditions C·M x = 0, where C cuts out the
-    previous term.  The conditions are assembled over cleared integers:
-    scaling individual condition rows never changes the solution space.
+    solves the stacked linear conditions C·M x = 0, where the integer rows
+    of C span the annihilator of the previous term.
     """
 
     def step(prev: Subspace) -> Subspace:
-        conds = membership_conditions(prev)
-        if conds.rows == 0:
+        conds = int_kernel(prev.rows, dim)
+        if not conds:
             return Subspace.full(dim)
-        conds_int = [clear_denominators(conds.row(r)) for r in range(conds.rows)]
-        rows = [int_row_times_matrix(c, flat, dim) for flat in maps for c in conds_int]
-        return Subspace(dim, kernel_of_rows(rows, dim))
+        rows = [int_row_times_matrix(c, flat, dim) for flat in maps for c in conds]
+        return Subspace.from_int_rows(dim, int_kernel(rows, dim))
 
     return chain_until_stable(Subspace.zero(dim), step, dim + 1)
 

@@ -9,6 +9,7 @@ path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -42,6 +43,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a finite number that must be greater than 0."""
+    message = f"must be a positive finite number, got {text!r}"
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liecs",
@@ -69,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threshold",
-        type=float,
+        type=_positive_float,
         default=DEFAULT_THRESHOLD,
         help="search: float residual below which reconstruction is attempted",
     )

@@ -23,7 +23,6 @@ from .linalg import (
     Subspace,
     Vector,
     cleared,
-    image_subspace,
     int_matvec,
     is_positive_definite,
     subspace_intersection,
@@ -50,8 +49,11 @@ class ComplexStructure:
         return cleared(self.matrix.entries)
 
     def image(self, w: Subspace) -> Subspace:
-        """The subspace J(w)."""
-        return image_subspace(w, self.matrix)
+        """The subspace J(w), mapped by the integer multiple J_int of J."""
+        if w.ambient_dim != self.matrix.cols:
+            raise ValueError("map width does not match ambient dimension")
+        j_int = self.integer_matrix[0]
+        return Subspace.from_int_rows(w.ambient_dim, [int_matvec(j_int, r) for r in w.rows])
 
     @cached_property
     def integrability(self) -> IntegrabilityReport:

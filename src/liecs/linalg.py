@@ -1,19 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Everything here is built on :class:`fractions.Fraction`, so results are exact
-and subspace equality is decidable.  A :class:`Subspace` always stores the
-reduced row echelon form of its row space with zero rows removed; two
-subspaces are equal iff their stored bases are entry-wise equal, which turns
-every set-theoretic question below into a syntactic check.
+Rationals enter and leave as :class:`fractions.Fraction`, but every
+subspace computation runs on Python ints (unbounded, so nothing
+overflows).  A :class:`Subspace` stores its integer canonical form: the
+reduced row echelon form of its row space, zero rows removed, each row
+scaled to its primitive integer multiple with a positive pivot.  The form
+is unique, so two subspaces are equal iff their stored rows are
+entry-wise equal, which turns every set-theoretic question below into a
+syntactic check.  One fraction-free elimination, ``_eliminate``, builds
+it; sums, intersections, kernels, images, complements, ``rref`` and
+``Matrix.inverse`` all go through it.  The ``Fraction`` form of a basis
+(each row divided by its pivot) is built only when it is asked for.
 
 No floating point enters this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -63,27 +72,11 @@ def vector(values: Iterable) -> Vector:
     return tuple(as_rational(v) for v in values)
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def basis_vector(n: int, k: int) -> Vector:
     """Standard basis vector e_k (0-based) in dimension n."""
     if not 0 <= k < n:
         raise ValueError(f"basis index {k} out of range for dimension {n}")
     return tuple(Fraction(1 if i == k else 0) for i in range(n))
-
-
-def add_vectors(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def sub_vectors(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def scale_vector(c: Fraction, x: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in x)
 
 
 def is_zero_vector(x: Sequence[Fraction]) -> bool:
@@ -243,12 +236,16 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        work = [list(self.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        echelon, pivots = _row_reduce(work, n)
-        if len(pivots) < n or pivots != list(range(n)):
+        work = [
+            clear_denominators(self.row(i) + tuple(Fraction(int(i == j)) for j in range(n)))
+            for i in range(n)
+        ]
+        reduced, pivots = _eliminate(work, n)
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        inv_rows = [row[n:] for row in echelon[:n]]
-        return Matrix.from_rows(inv_rows)
+        return Matrix.from_rows(
+            [[Fraction(a, row[i]) for a in row[n:]] for i, row in enumerate(reduced)]
+        )
 
     def _require_same_shape(self, other: Matrix) -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -257,71 +254,89 @@ class Matrix:
             )
 
 
-def _row_reduce(
-    work: Sequence[Sequence[Fraction | int]], width: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan over the first ``width`` columns.
+def _eliminate(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over the first ``width`` columns.
 
-    Returns the reduced rows (zero rows last, pivot rows normalized to
-    leading 1) and the list of pivot columns.  Columns past ``width`` ride
-    along, which is how the inverse is computed.
+    Returns the rows and their pivot columns.  The first ``len(pivots)``
+    rows are the pivot rows in pivot order: each is primitive, its pivot is
+    positive and is the only nonzero entry of its column.  The remaining
+    rows are zero on the first ``width`` columns.  Columns past ``width``
+    ride along, which is how the inverse and the intersection are computed.
 
-    Internally rows are cleared to integers and eliminated by exact
-    cross-multiplication with per-row gcd reduction; integer arithmetic is
-    several times cheaper than Fraction arithmetic and the row space is
-    unchanged by row scaling.
+    Rows are taken one at a time and reduced by the pivot rows so far
+    (``_reduce``).  A remainder that is nonzero on the first ``width``
+    columns becomes a new pivot row, and its pivot column is cleared from
+    the others by (p/g)·other − (other_c/g)·new, g = gcd(p, other_c).
+    Every stored row is divided by the gcd of its entries; scaling a row
+    by a nonzero integer never changes the row space.
     """
-    n_rows = len(work)
-    total = len(work[0]) if work else 0
-    rows: list[list[int]] = []
-    for frow in work:
-        lcm = 1
-        for a in frow:
-            d = a.denominator
-            if d != 1:
-                lcm = lcm * d // gcd(lcm, d)
-        rows.append([a.numerator * (lcm // a.denominator) for a in frow])
-
+    basis: list[list[int]] = []
     pivots: list[int] = []
-    pivot_row = 0
-    for col in range(width):
-        src = next((r for r in range(pivot_row, n_rows) if rows[r][col]), None)
-        if src is None:
-            continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        prow = rows[pivot_row]
-        pivot = prow[col]
-        for r in range(n_rows):
-            if r == pivot_row:
-                continue
-            row = rows[r]
-            factor = row[col]
-            if factor:
-                # cross-multiplication rescales the whole row, so every
-                # column participates, not just those at or past the pivot
-                for c in range(total):
-                    row[c] = row[c] * pivot - prow[c] * factor
-                common = 0
-                for v in row:
-                    common = gcd(common, v)
-                    if common == 1:
-                        break
-                if common > 1:
-                    for c in range(total):
-                        row[c] //= common
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == n_rows:
+    rest: list[list[int]] = []
+    for row in rows:
+        if len(pivots) == width == len(row):
             break
+        v = _reduce(row, basis, pivots)
+        g = gcd(*v)
+        if not g:
+            continue
+        if g > 1:
+            v = [a // g for a in v]
+        col = next((j for j in range(width) if v[j]), None)
+        if col is None:
+            rest.append(v)
+            continue
+        if v[col] < 0:
+            v = [-a for a in v]
+        p = v[col]
+        for index, b in enumerate(basis):
+            f = b[col]
+            if f:
+                g = gcd(p, f)
+                s, t = p // g, f // g
+                b = [x * s - y * t for x, y in zip(b, v)]
+                g = gcd(*b)
+                basis[index] = b if g == 1 else [a // g for a in b]
+        at = bisect_left(pivots, col)
+        pivots.insert(at, col)
+        basis.insert(at, v)
+    return basis + rest, pivots
 
-    out: list[list[Fraction]] = []
-    for i, row in enumerate(rows):
-        if i < len(pivots):
-            pivot = row[pivots[i]]
-            out.append([Fraction(v, pivot) for v in row])
-        else:
-            out.append([Fraction(v) for v in row])
-    return out, pivots
+
+def _reduce(row: Sequence[int], basis: Sequence[Sequence[int]], pivots: Sequence[int]) -> list[int]:
+    """A positive multiple of ``row`` minus its expansion over reduced pivot rows.
+
+    Each pivot column c (pivot p) is nonzero only in its own row, so with
+    L the lcm of the pivots that ``row`` meets, L·row − Σ (row_c·L/p)·pivot_row
+    is zero on every pivot column, and zero altogether iff ``row`` lies in
+    their span.
+    """
+    hits = [(b, c) for b, c in zip(basis, pivots) if row[c]]
+    if not hits:
+        return list(row)
+    scale = lcm(*(b[c] for b, c in hits))
+    v = [scale * a for a in row]
+    for b, c in hits:
+        k = row[c] * (scale // b[c])
+        v = [x - k * y for x, y in zip(v, b)]
+    return v
+
+
+def int_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
+    """Integer vectors spanning ``{x : r·x = 0 for every row r}``, one per free column."""
+    reduced, pivots = _eliminate(rows, cols)
+    pivot_rows = reduced[: len(pivots)]
+    scale = lcm(*(row[c] for row, c in zip(pivot_rows, pivots)))
+    taken = set(pivots)
+    basis = []
+    for f in range(cols):
+        if f not in taken:
+            v = [0] * cols
+            v[f] = scale
+            for row, c in zip(pivot_rows, pivots):
+                v[c] = -row[f] * (scale // row[c])
+            basis.append(v)
+    return basis
 
 
 def rref(m: Matrix) -> Matrix:
@@ -329,89 +344,96 @@ def rref(m: Matrix) -> Matrix:
 
     The result is the canonical representative of the row space of ``m``.
     """
-    work = [list(m.row(i)) for i in range(m.rows)]
-    reduced, pivots = _row_reduce(work, m.cols)
-    return Matrix.from_rows(reduced[: len(pivots)], cols=m.cols)
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    """Canonical basis of ``{x : m @ x = 0}`` as rows of a matrix."""
-    return kernel_of_rows([m.row(i) for i in range(m.rows)], m.cols)
-
-
-def kernel_of_rows(rows: Sequence[Sequence[Fraction | int]], cols: int) -> Matrix:
-    """:func:`kernel_basis` of the matrix with these rows, rational or integer.
-
-    The rows go to the row reduction as they are; it works over integers.
-    """
-    reduced, pivots = _row_reduce(rows, cols)
-    pivot_set = set(pivots)
-    free = [j for j in range(cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(v)
-    return rref(Matrix.from_rows(basis, cols=cols))
-
-
-def _is_rref(m: Matrix) -> bool:
-    """Structural check that ``m`` is a reduced row echelon form, no zero rows."""
-    prev_pivot = -1
-    for i in range(m.rows):
-        row = m.row(i)
-        pivot = next((j for j, a in enumerate(row) if a != 0), None)
-        if pivot is None or pivot <= prev_pivot or row[pivot] != 1:
-            return False
-        if any(m.at(r, pivot) != 0 for r in range(m.rows) if r != i):
-            return False
-        prev_pivot = pivot
-    return True
+    return Subspace.from_rows(m.cols, m.row_list()).basis
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^n in canonical (RREF) form.
+    """A linear subspace of Q^n in canonical integer form.
 
-    The zero subspace is a basis matrix with zero rows, never a missing
-    object: series computations routinely terminate there.
+    ``rows`` is the reduced row echelon form of the subspace with each row
+    replaced by its primitive integer multiple with positive pivot.  The
+    form is unique, so two subspaces are equal iff their ``rows`` are, and
+    ``pivots`` lists the pivot column of each row.
+
+    The zero subspace has no rows, never a missing object: series
+    computations routinely terminate there.
     """
 
     ambient_dim: int
-    basis: Matrix
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.basis.cols != self.ambient_dim:
-            raise ValueError(
-                f"basis width {self.basis.cols} does not match ambient dim {self.ambient_dim}"
-            )
-        if not _is_rref(self.basis):
-            raise ValueError("subspace basis is not in reduced row echelon form")
+        rows = tuple(map(tuple, self.rows))
+        pivots: list[int] = []
+        for row in rows:
+            if len(row) != self.ambient_dim:
+                raise ValueError(
+                    f"row width {len(row)} does not match ambient dim {self.ambient_dim}"
+                )
+            pivot = next((j for j, a in enumerate(row) if a), None)
+            if pivot is None or (pivots and pivot <= pivots[-1]):
+                raise ValueError("subspace rows are not nonzero with increasing pivots")
+            if row[pivot] < 0:
+                raise ValueError(f"pivot in column {pivot} is negative")
+            if gcd(*row) != 1:
+                raise ValueError(f"row with pivot column {pivot} is not primitive")
+            pivots.append(pivot)
+        for i, c in enumerate(pivots):
+            if any(row[c] for k, row in enumerate(rows) if k != i):
+                raise ValueError(f"pivot column {c} has another nonzero entry")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Sequence[Sequence]) -> Subspace:
-        m = Matrix.from_rows(rows, cols=ambient_dim)
-        return Subspace(ambient_dim, rref(m))
+        """Canonical form of the span of rational rows (anything ``vector`` accepts)."""
+        int_rows = []
+        for r in rows:
+            v = vector(r)
+            if len(v) != ambient_dim:
+                raise ValueError(f"rows have width {len(v)}, expected {ambient_dim}")
+            int_rows.append(clear_denominators(v))
+        return Subspace.from_int_rows(ambient_dim, int_rows)
+
+    @staticmethod
+    def from_int_rows(ambient_dim: int, rows: Sequence[Sequence[int]]) -> Subspace:
+        """Canonical form of the span of integer rows."""
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError(f"rows must have width {ambient_dim}")
+        reduced, pivots = _eliminate(rows, ambient_dim)
+        return Subspace(ambient_dim, tuple(map(tuple, reduced[: len(pivots)])))
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, Matrix.zero(0, ambient_dim))
+        return Subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim))
+        return Subspace(
+            ambient_dim,
+            tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)),
+        )
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return self.dim == 0
+        return not self.rows
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The reduced row echelon form as a rational matrix: each row over its pivot."""
+        return Matrix(
+            self.dim,
+            self.ambient_dim,
+            tuple(Fraction(a, row[c]) for row, c in zip(self.rows, self.pivots) for a in row),
+        )
 
     def basis_rows(self) -> list[Vector]:
         return self.basis.row_list()
@@ -419,20 +441,7 @@ class Subspace:
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        return is_zero_vector(_reduce_against(self.basis, v))
-
-
-def _reduce_against(reduced: Matrix, v: Sequence[Fraction]) -> Vector:
-    """Residual of ``v`` after elimination by the RREF rows of ``reduced``."""
-    out = list(v)
-    for i in range(reduced.rows):
-        row = reduced.row(i)
-        pivot_col = next(j for j, a in enumerate(row) if a != 0)
-        coeff = out[pivot_col]
-        if coeff != 0:
-            for j in range(len(out)):
-                out[j] -= coeff * row[j]
-    return tuple(out)
+        return not any(_reduce(clear_denominators(vector(v)), self.rows, self.pivots))
 
 
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -443,45 +452,43 @@ def _require_same_ambient(a: Subspace, b: Subspace) -> None:
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Canonical form of a + b (span of the stacked bases)."""
+    """Canonical form of a + b (span of the stacked rows)."""
     _require_same_ambient(a, b)
-    return Subspace.from_rows(a.ambient_dim, a.basis_rows() + b.basis_rows())
+    if b.is_zero() or a.is_full():
+        return a
+    if a.is_zero() or b.is_full():
+        return b
+    return Subspace.from_int_rows(a.ambient_dim, a.rows + b.rows)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Canonical form of a ∩ b.
+    """Canonical form of a ∩ b (Zassenhaus).
 
-    A vector lies in both spaces iff it is u·A = v·B for coefficient rows
-    u, v, i.e. (u, -v) is in the kernel of the matrix whose columns are the
-    basis vectors of a followed by those of b.
+    The row space of [[A, A], [B, 0]] contains (x, y) with x = 0 exactly
+    when y = uA = -vB lies in both spaces.  Eliminating on the left half
+    leaves those vectors as the rows whose left half is zero.
     """
     _require_same_ambient(a, b)
-    if a.is_zero() or b.is_zero():
-        return Subspace.zero(a.ambient_dim)
-    stacked = Matrix.from_rows(
-        a.basis_rows() + b.basis_rows(), cols=a.ambient_dim
-    ).transpose()
-    coeffs = kernel_basis(stacked)
-    rows = []
-    for i in range(coeffs.rows):
-        u = coeffs.row(i)[: a.dim]
-        x = zero_vector(a.ambient_dim)
-        for c, basis_row in zip(u, a.basis_rows()):
-            if c != 0:
-                x = add_vectors(x, scale_vector(c, basis_row))
-        rows.append(x)
-    return Subspace.from_rows(a.ambient_dim, rows)
+    if a.is_zero() or b.is_full():
+        return a
+    if b.is_zero() or a.is_full():
+        return b
+    n = a.ambient_dim
+    stacked = [row + row for row in a.rows] + [row + (0,) * n for row in b.rows]
+    reduced, pivots = _eliminate(stacked, n)
+    return Subspace.from_int_rows(n, [row[n:] for row in reduced[len(pivots) :]])
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff b ⊆ a."""
     _require_same_ambient(a, b)
-    return all(is_zero_vector(_reduce_against(a.basis, r)) for r in b.basis_rows())
+    return b.dim <= a.dim and all(not any(_reduce(v, a.rows, a.pivots)) for v in b.rows)
 
 
 def solve_membership_kernel(conditions: Matrix) -> Subspace:
     """The solution space ``{x : conditions @ x = 0}`` as a canonical subspace."""
-    return Subspace(conditions.cols, kernel_basis(conditions))
+    rows = [clear_denominators(r) for r in conditions.row_list()]
+    return Subspace.from_int_rows(conditions.cols, int_kernel(rows, conditions.cols))
 
 
 def membership_conditions(w: Subspace) -> Matrix:
@@ -490,22 +497,33 @@ def membership_conditions(w: Subspace) -> Matrix:
     Rows of C span the annihilator of w under the standard dot product;
     over Q the double annihilator gives back w exactly.
     """
-    if w.is_full():
-        return Matrix.zero(0, w.ambient_dim)
-    return kernel_basis(w.basis)
+    return Subspace.from_int_rows(w.ambient_dim, int_kernel(w.rows, w.ambient_dim)).basis
 
 
 def is_positive_definite(gram: Matrix) -> bool:
-    """Sylvester's criterion: symmetric with positive leading principal minors."""
+    """Symmetric, and every pivot of elimination without row swaps is positive.
+
+    Fraction-free (Bareiss) elimination of the cleared matrix: the k-th
+    pivot is then the k-th leading principal minor, so this is Sylvester's
+    criterion in one O(n³) pass.  Clearing scales by a positive number,
+    which keeps every sign.
+    """
     if not gram.is_symmetric():
         return False
     n = gram.rows
-    for k in range(1, n + 1):
-        sub = Matrix.from_rows(
-            [[gram.at(i, j) for j in range(k)] for i in range(k)], cols=k
-        )
-        if sub.det() <= 0:
+    flat = clear_denominators(gram.entries)
+    work = [flat[i * n : (i + 1) * n] for i in range(n)]
+    previous = 1
+    for k in range(n):
+        pivot_row = work[k]
+        p = pivot_row[k]
+        if p <= 0:
             return False
+        for row in work[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * pivot_row[j]) // previous
+        previous = p
     return True
 
 
@@ -513,18 +531,21 @@ def orthogonal_complement(a: Subspace, gram: Matrix) -> Subspace:
     """Complement of ``a`` with respect to an SPD bilinear form.
 
     Returns {x : <u, x>_gram = 0 for all u in a}; positive definiteness
-    guarantees a ⊕ a^⊥ is the full space.
+    guarantees a ⊕ a^⊥ is the full space.  The gram matrix is cleared by
+    one positive factor, which leaves the kernel unchanged.
     """
-    if gram.rows != a.ambient_dim or gram.cols != a.ambient_dim:
+    n = a.ambient_dim
+    if gram.rows != n or gram.cols != n:
         raise ValueError("gram matrix size does not match ambient dimension")
     if not gram.is_symmetric():
         raise ValueError("gram matrix is not symmetric")
     if not is_positive_definite(gram):
         raise ValueError("gram matrix is not positive definite")
     if a.is_zero():
-        return Subspace.full(a.ambient_dim)
-    conditions = a.basis @ gram
-    return solve_membership_kernel(conditions)
+        return Subspace.full(n)
+    flat = clear_denominators(gram.entries)
+    conditions = [int_row_times_matrix(row, flat, n) for row in a.rows]
+    return Subspace.from_int_rows(n, int_kernel(conditions, n))
 
 
 def cleared(vec: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -556,27 +577,18 @@ def int_row_times_matrix(row: Sequence[int], flat: Sequence[int], cols: int) -> 
 
 
 def int_matvec(flat: Sequence[int], v: Sequence[int]) -> list[int]:
-    """Product ``M @ v`` for a flattened square integer matrix and an integer vector."""
+    """Product ``M @ v`` for a flattened integer matrix with ``len(v)`` columns."""
     n = len(v)
-    return [sum(a * b for a, b in zip(flat[r * n : (r + 1) * n], v) if b) for r in range(n)]
+    return [sum(map(mul, flat[r : r + n], v)) for r in range(0, len(flat), n)]
 
 
 def image_subspace(w: Subspace, m: Matrix) -> Subspace:
     """Canonical form of ``m(w)``, the image of w under the linear map m.
 
-    Computed over cleared integers: scaling the map by one global positive
-    factor and each basis row individually rescales every image row,
-    leaving the row space (hence the canonical form) unchanged.
+    The map is cleared by one positive factor, which rescales every image
+    row and leaves the span unchanged.
     """
     if m.cols != w.ambient_dim:
         raise ValueError("map width does not match ambient dimension")
-    m_int = clear_denominators(m.entries)
-    rows = []
-    for r in w.basis_rows():
-        r_int = clear_denominators(r)
-        row = [
-            sum(m_int[i * m.cols + k] * r_int[k] for k in range(m.cols) if r_int[k])
-            for i in range(m.rows)
-        ]
-        rows.append(row)
-    return Subspace.from_rows(m.rows, rows)
+    flat = clear_denominators(m.entries)
+    return Subspace.from_int_rows(m.rows, [int_matvec(flat, r) for r in w.rows])

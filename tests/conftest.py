@@ -29,6 +29,28 @@ def random_spd(rng: random.Random, n: int) -> Matrix:
     return a.transpose() @ a
 
 
+def fraction_rref(rows, n: int) -> list[tuple[Fraction, ...]]:
+    """Reduced row echelon form of rational rows, zero rows removed.
+
+    Plain Gauss-Jordan over ``Fraction``, sharing no code with the library:
+    the oracle for its integer canonical form.
+    """
+    work = [[Fraction(a) for a in r] for r in rows]
+    out = []
+    for col in range(n):
+        src = next((r for r in work if r[col] != 0), None)
+        if src is None:
+            continue
+        work.remove(src)
+        pivot_row = [a / src[col] for a in src]
+        for r in out + work:
+            factor = r[col]
+            if factor != 0:
+                r[:] = [a - factor * b for a, b in zip(r, pivot_row)]
+        out.append(pivot_row)
+    return [tuple(r) for r in out]
+
+
 def conjugate_entry(entry, p: Matrix):
     """Transport (algebra, J, stratification) through the coordinate map p."""
     alg = change_of_basis(entry.algebra, p)

@@ -22,7 +22,7 @@ from liecs import (
 )
 from liecs.linalg import basis_vector, vector
 
-from conftest import random_invertible
+from conftest import conjugate_entry, fraction_rref, random_invertible
 
 
 @pytest.fixture
@@ -193,6 +193,49 @@ def test_bracket_subspaces_examples(kt4):
     assert bracket_subspaces(kt4, full, Subspace.zero(4)).is_zero()
     a4 = builtin("a4").algebra
     assert bracket_subspaces(a4, Subspace.full(4), Subspace.full(4)).is_zero()
+
+
+def dense_bracket(alg, x, y):
+    """[x, y] expanded from the stored structure triples over Fraction."""
+    out = [Fraction(0)] * alg.dim
+    for i, j, coeffs in alg.structure:
+        w = x[i] * y[j] - x[j] * y[i]
+        if w:
+            out = [a + w * c for a, c in zip(out, coeffs)]
+    return out
+
+
+def random_rational_invertible(rng, n):
+    while True:
+        m = Matrix.from_rows(
+            [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)]
+        )
+        if m.det() != 0:
+            return m
+
+
+@pytest.mark.parametrize("name", ["kt4", "ch6", "fr6", "hh6", "rf8"])
+def test_bracket_subspaces_symmetric_memoized_and_equal_to_dense_oracle(name, rng):
+    entry = builtin(name)
+    alg, _, _ = conjugate_entry(entry, random_rational_invertible(rng, entry.algebra.dim))
+    assert any(c.denominator != 1 for _, _, coeffs in alg.structure for c in coeffs)
+    n = alg.dim
+    spaces = list(alg.descending_series.terms) + [
+        Subspace.from_rows(
+            n,
+            [[Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(n)] for _ in range(k)],
+        )
+        for k in (1, 2, n - 2)
+    ]
+    for a in spaces:
+        for b in spaces:
+            ab = bracket_subspaces(alg, a, b)
+            assert bracket_subspaces(alg, a, b) is ab
+            assert bracket_subspaces(alg, b, a) is ab
+            # an algebra with an empty memo, asked in the other order
+            assert bracket_subspaces(LieAlgebra(n, alg.structure), b, a) == ab
+            generators = [dense_bracket(alg, u, v) for u in a.basis_rows() for v in b.basis_rows()]
+            assert ab.basis_rows() == fraction_rref(generators, n)
 
 
 # -- change of basis ---------------------------------------------------------

@@ -114,6 +114,16 @@ def test_nonpositive_search_arguments_are_usage_errors(args, option):
     assert f"argument {option}: must be a positive integer" in result.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_threshold_must_be_positive_and_finite(value):
+    # nan and inf would make every restart snap and run the exact gate; a
+    # value <= 0 would silently disable reconstruction
+    result = run_cli("-i", "f4", "--cmd", "search", "--threshold", value)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "argument --threshold: must be a positive finite number" in result.stderr
+
+
 def test_unwritable_out_is_a_one_line_usage_error(tmp_path):
     out = tmp_path / "missing" / "x.json"
     result = run_cli("-i", "kt4", "--out", str(out))

@@ -20,6 +20,8 @@ from liecs.linalg import (
     subspace_sum,
 )
 
+from conftest import fraction_rref
+
 # -- rationals ---------------------------------------------------------------
 
 
@@ -68,6 +70,67 @@ def test_rref_diagonal_scaling():
 
 def test_rref_dependent_rows():
     assert rref(Matrix.from_rows([[1, 2], [2, 4]])) == Matrix.from_rows([[1, 2]])
+
+
+# -- integer canonical form -------------------------------------------------
+
+
+def test_canonical_rows_are_primitive_integers():
+    w = Subspace.from_rows(3, [[Fraction(1, 2), Fraction(1, 3), 0]])
+    assert w.rows == ((3, 2, 0),)
+    assert w.basis_rows() == [(Fraction(1), Fraction(2, 3), Fraction(0))]
+    assert Subspace(2, ((1, 0), (0, 1))) == Subspace.full(2)
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (((2, 4),), "not primitive"),
+        (((-1, 2),), "negative"),
+        (((1, 1), (0, 1)), "another nonzero"),
+        (((0, 1), (1, 0)), "increasing pivots"),
+        (((1, 0), (0, 0)), "increasing pivots"),
+        (((1, 0, 0),), "width"),
+    ],
+)
+def test_constructor_rejects_non_canonical_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        Subspace(2, rows)
+
+
+row_sets = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=5),
+    )
+)
+
+
+@given(row_sets, st.data())
+@settings(max_examples=80, deadline=None)
+def test_from_rows_is_invariant_under_row_operations(case, data):
+    n, rows = case
+    w = Subspace.from_rows(n, rows)
+    permuted = data.draw(st.permutations(rows))
+    factors = data.draw(st.lists(nonzero_rationals, min_size=len(rows), max_size=len(rows)))
+    scaled = [[c * a for a in r] for c, r in zip(factors, rows)]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    coeffs = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    combined = list(rows)
+    combined[i] = [
+        a + sum(c * r[k] for j, (c, r) in enumerate(zip(coeffs, rows)) if j != i)
+        for k, a in enumerate(rows[i])
+    ]
+    for other in (permuted, scaled, combined):
+        moved = Subspace.from_rows(n, other)
+        assert moved == w and hash(moved) == hash(w)
+
+
+@given(row_sets)
+@settings(max_examples=80, deadline=None)
+def test_basis_rows_equal_fraction_rref(case):
+    n, rows = case
+    assert Subspace.from_rows(n, rows).basis_rows() == fraction_rref(rows, n)
 
 
 # -- subspace lattice --------------------------------------------------------
@@ -173,6 +236,91 @@ def test_is_positive_definite():
     assert not is_positive_definite(Matrix.diagonal([1, 0]))
     m = Matrix.from_rows([[2, 1], [1, 2]])
     assert is_positive_definite(m)
+    assert not is_positive_definite(Matrix.from_rows([[1, 1], [0, 1]]))
+    assert is_positive_definite(Matrix.zero(0, 0))
+
+
+def sylvester(m: Matrix) -> bool:
+    """Oracle: symmetric, and every leading principal minor is positive."""
+    return m.is_symmetric() and all(
+        Matrix.from_rows([[m.at(i, j) for j in range(k)] for i in range(k)]).det() > 0
+        for k in range(1, m.rows + 1)
+    )
+
+
+def congruent_diagonal(diag, upper):
+    """Sᵀ·diag·S for an upper triangular S with nonzero diagonal (invertible).
+
+    By Sylvester's law of inertia it is positive definite iff every entry
+    of ``diag`` is positive, and indefinite when the signs are mixed.
+    """
+    n = len(diag)
+    s = Matrix.from_rows(
+        [[upper[i][j] if j > i else (upper[i][i] or 1) if j == i else 0 for j in range(n)]
+         for i in range(n)]
+    )
+    return s.transpose() @ Matrix.diagonal(diag) @ s
+
+
+nonzero_rationals = st.builds(
+    Fraction, st.integers(1, 5).flatmap(lambda k: st.sampled_from([k, -k])), st.integers(1, 3)
+)
+positive_rationals = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
+
+
+def square(n):
+    return st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.lists(positive_rationals, min_size=n, max_size=n), square(n))
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_positive_definite_congruent_diagonal(case):
+    m = congruent_diagonal(*case)
+    assert is_positive_definite(m) and sylvester(m)
+
+
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(nonzero_rationals, min_size=n, max_size=n).filter(
+                lambda d: min(d) < 0 < max(d)
+            ),
+            square(n),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_indefinite_is_not_positive_definite(case):
+    m = congruent_diagonal(*case)
+    assert not is_positive_definite(m) and not sylvester(m)
+
+
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=n - 1
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_singular_semidefinite_is_not_positive_definite(rows):
+    # AᵀA with fewer rows than columns: positive semidefinite, rank < n
+    a = Matrix.from_rows(rows)
+    m = a.transpose() @ a
+    assert m.det() == 0
+    assert not is_positive_definite(m) and not sylvester(m)
+
+
+@given(st.integers(1, 4).flatmap(square))
+@settings(max_examples=80, deadline=None)
+def test_positive_definite_matches_sylvester_on_symmetric_matrices(rows):
+    a = Matrix.from_rows(rows)
+    m = a + a.transpose()
+    assert is_positive_definite(m) == sylvester(m)
 
 
 # -- property tests ----------------------------------------------------------
