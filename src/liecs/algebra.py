@@ -14,6 +14,16 @@ contractions of it; Python ints are unbounded, so nothing overflows.  A
 value leaves as a ``Fraction`` only at the API boundary, divided by the
 power of D (and of the other cleared denominators) it carries.
 
+The all-triples and all-pairs kernels (Jacobi here, Nijenhuis and the
+special flags in ``complex_structure``) read the tensor packed: each row
+D·[e_a, e_b] becomes one int Σ c·2^(w·k) (``linalg.pack``), so a
+contraction over the output index is one big-int multiply-add per term
+and "the vector is zero" is "the int is 0".  The slot width w is the bit
+length of a proven bound on every vector that is compared or unpacked,
+plus a sign bit; for the Jacobi sum the bound is 3·n·M², M the largest
+integer constant.  Intermediate sums need no bound: packing is linear and
+exact on any ints.
+
 Facts derived from an immutable object (its validation, its central
 series, and on a complex structure its integrability and series) are
 cached on that object and computed at most once.  The cache is per
@@ -41,6 +51,9 @@ from .linalg import (
     int_kernel,
     int_row_times_matrix,
     is_zero_vector,
+    pack,
+    slot_width,
+    unpack,
 )
 
 
@@ -108,6 +121,15 @@ class LieAlgebra:
             rows[i][j] = row
             rows[j][i] = tuple((k, -c) for k, c in row)
         return d, tuple(tuple(r) for r in rows)
+
+    @cached_property
+    def max_entry(self) -> int:
+        """The largest |c| over the integer rows of the tensor (0 when abelian)."""
+        return max((abs(c) for r in self.tensor[1] for row in r for _, c in row), default=0)
+
+    def packed_rows(self, width: int) -> tuple[tuple[int, ...], ...]:
+        """packed[a][b] = D·[e_a, e_b] packed with slot ``width`` (``linalg.pack``)."""
+        return tuple(tuple(pack(row, width) for row in r) for r in self.tensor[1])
 
     def bracket_int(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
         """D·[x, y] for integer vectors x and y."""
@@ -200,22 +222,30 @@ def validate(alg: LieAlgebra) -> ValidationReport:
 
     Antisymmetry needs no check: the storage format only admits
     antisymmetric brackets.  The cyclic sum is contracted from the integer
-    tensor, so it is D² times the residual.  Violations are reported, not
-    raised, so that callers can surface them in their own error channel.
+    tensor, so it is D² times the residual: each of its three terms is
+    D²·[[e_a, e_b], e_c] = Σ u·D·[e_m, e_c] over the (m, u) of D·[e_a, e_b],
+    one big-int multiply-add per m on the packed rows D·[e_m, e_c].  A term
+    has at most n nonzero products of two integer constants, so every slot
+    of the sum is bounded by 3·n·max|C|², the packed sum is 0 iff the
+    triple satisfies Jacobi, and only violating triples are unpacked.
+    Violations are reported, not raised, so that callers can surface them
+    in their own error channel.
     """
     d, rows = alg.tensor
     n = alg.dim
+    width = slot_width(3 * n * alg.max_entry**2)
+    by_column = list(zip(*alg.packed_rows(width)))  # by_column[c][m]: D·[e_m, e_c]
     violations = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                total = [0] * n
+                total = 0
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    column = by_column[c]
                     for m, u in rows[a][b]:
-                        for l, v in rows[m][c]:
-                            total[l] += u * v
-                if any(total):
-                    residual = tuple(Fraction(v, d * d) for v in total)
+                        total += u * column[m]
+                if total:
+                    residual = tuple(Fraction(v, d * d) for v in unpack(total, width, n))
                     violations.append(JacobiViolation((i + 1, j + 1, k + 1), residual))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 

@@ -8,6 +8,16 @@ expression
 
 which is bilinear and antisymmetric, so checking all basis pairs i < j
 decides it exactly.
+
+Both all-pairs kernels, ``is_integrable`` and ``classify_special``, read one
+``PairTable`` per structure (``ComplexStructure.pair_table``): the packed
+integer values B(e_i, e_j), B(J e_i, e_j) and their J-images for every
+ordered pair, with B = D·[ , ] and J cleared to J_int = q·J, built once in
+O(n⁴).  N(e_i, e_j) is then n big-int multiply-adds away, and both flags
+are comparisons of packed ints.  The slot width comes from the bound
+(c² + 2·r·c + q²)·M, c and r the largest column and row sums of |J_int|
+and M the largest integer structure constant; see ``PairTable``.
+``nijenhuis`` on arbitrary vectors uses the integer bracket directly.
 """
 
 from __future__ import annotations
@@ -25,7 +35,10 @@ from .linalg import (
     cleared,
     int_matvec,
     is_positive_definite,
+    pack,
+    slot_width,
     subspace_intersection,
+    unpack,
 )
 
 if TYPE_CHECKING:
@@ -54,6 +67,11 @@ class ComplexStructure:
             raise ValueError("map width does not match ambient dimension")
         j_int = self.integer_matrix[0]
         return Subspace.from_int_rows(w.ambient_dim, [int_matvec(j_int, r) for r in w.rows])
+
+    @cached_property
+    def pair_table(self) -> PairTable:
+        """The packed bracket values of every ordered basis pair; see ``PairTable``."""
+        return PairTable.build(self)
 
     @cached_property
     def integrability(self) -> IntegrabilityReport:
@@ -100,23 +118,93 @@ def validate_almost_complex(alg: LieAlgebra, j: Matrix) -> ComplexStructure:
     return ComplexStructure(alg, j)
 
 
-def _nijenhuis_int(cs: ComplexStructure, x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """D·q²·N(x, y) for integer x, y, with B = D·[ , ] and J_int = q·J:
+@dataclass(frozen=True)
+class PairTable:
+    """Packed integer bracket values on ordered basis pairs, one slot width.
 
-        B(J_int x, J_int y) - q²·B(x, y) - J_int (B(J_int x, y) + B(x, J_int y)).
+    With B = D·[ , ] and J_int = q·J, for all i, j (``linalg.pack``):
+
+        plain[i][j]   = B(e_i, e_j)         j_plain[i][j] = J_int B(e_i, e_j)
+        left[i][j]    = B(J_int e_i, e_j)   j_left[i][j]  = J_int B(J_int e_i, e_j)
+
+    ``columns[j]`` lists the nonzero (b, J_int[b, j]).  The other terms of
+    the Nijenhuis expression are reads and n-term sums of the table:
+    B(e_i, J_int e_j) = -left[j][i] and B(J_int e_i, J_int e_j) =
+    Σ_b J_int[b, j]·left[i][b] (``both``).
+
+    The slot width bounds every vector that is unpacked or compared.  With
+    M the largest integer constant of the tensor, c and r the largest
+    column and row sums of |J_int|: a slot of ``left`` is at most c·M, of
+    ``both`` c²·M, of ``j_left`` r·c·M and of ``j_plain`` r·M, so
+    D·q²·N(e_i, e_j) is within (c² + 2·r·c + q²)·M, and so are the
+    differences compared by ``classify_special``: (c² + q²)·M for the
+    abelian one, (r + c)·M for the bi-invariant one (r + c ≤ c² + 2·r·c
+    when c ≥ 1, and c = 0 means J_int = 0, so r = 0).
     """
-    b = cs.algebra.bracket_int
-    j_int, q = cs.integer_matrix
-    jx, jy = int_matvec(j_int, x), int_matvec(j_int, y)
-    mixed = int_matvec(j_int, [u + v for u, v in zip(b(jx, y), b(x, jy))])
-    return [u - q * q * v - w for u, v, w in zip(b(jx, jy), b(x, y), mixed)]
+
+    width: int
+    plain: tuple[tuple[int, ...], ...]
+    j_plain: tuple[tuple[int, ...], ...]
+    left: tuple[tuple[int, ...], ...]
+    j_left: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+
+    @staticmethod
+    def build(cs: ComplexStructure) -> PairTable:
+        """The table in O(n⁴): n³ big-int multiply-adds of n-slot ints."""
+        n = cs.algebra.dim
+        rows = cs.algebra.tensor[1]
+        j_int, q = cs.integer_matrix
+        columns = tuple(
+            tuple((b, j_int[b * n + j]) for b in range(n) if j_int[b * n + j]) for j in range(n)
+        )
+        col_sum = max((sum(abs(v) for _, v in col) for col in columns), default=0)
+        row_sum = max((sum(map(abs, j_int[k : k + n])) for k in range(0, n * n, n)), default=0)
+        bound = (col_sum**2 + 2 * row_sum * col_sum + q * q) * cs.algebra.max_entry
+        width = slot_width(bound)
+        images = [pack(col, width) for col in columns]  # J_int e_k, packed
+        plain = cs.algebra.packed_rows(width)
+        j_plain = tuple(
+            tuple(sum(v * images[k] for k, v in row) for row in by_b) for by_b in rows
+        )
+
+        def apply_left(table):
+            return tuple(
+                tuple(sum(v * table[a][j] for a, v in columns[i]) for j in range(n))
+                for i in range(n)
+            )
+
+        return PairTable(width, plain, j_plain, apply_left(plain), apply_left(j_plain), columns)
+
+    def both(self, i: int, j: int) -> int:
+        """B(J_int e_i, J_int e_j), packed."""
+        row = self.left[i]
+        return sum(v * row[b] for b, v in self.columns[j])
 
 
 def nijenhuis(cs: ComplexStructure, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    """Exact value of N(x, y): the integer value of the cleared vectors, divided back."""
+    """Exact value of N(x, y) for any vectors x, y.
+
+    Computed as D·q²·N on the cleared integer vectors, with B = D·[ , ]
+    and J_int = q·J,
+
+        B(J_int x, J_int y) - q²·B(x, y) - J_int (B(J_int x, y) + B(x, J_int y)),
+
+    and divided back.
+    """
+    n = cs.algebra.dim
+    if len(x) != n or len(y) != n:
+        raise ValueError("nijenhuis arguments must have length equal to dim")
+    b = cs.algebra.bracket_int
+    j_int, q = cs.integer_matrix
     (x_int, s), (y_int, t) = cleared(x), cleared(y)
-    den = cs.algebra.tensor[0] * cs.integer_matrix[1] ** 2 * s * t
-    return tuple(Fraction(v, den) for v in _nijenhuis_int(cs, x_int, y_int))
+    jx, jy = int_matvec(j_int, x_int), int_matvec(j_int, y_int)
+    mixed = int_matvec(j_int, [u + v for u, v in zip(b(jx, y_int), b(x_int, jy))])
+    den = cs.algebra.tensor[0] * q * q * s * t
+    return tuple(
+        Fraction(u - q * q * v - w, den)
+        for u, v, w in zip(b(jx, jy), b(x_int, y_int), mixed)
+    )
 
 
 @dataclass(frozen=True)
@@ -133,16 +221,28 @@ class IntegrabilityReport:
 
 
 def is_integrable(cs: ComplexStructure) -> IntegrabilityReport:
-    """Evaluate N on all basis pairs i < j, as D·q²·N over the integers."""
+    """Evaluate N on all basis pairs i < j from the pair table.
+
+    D·q²·N(e_i, e_j) = both(i, j) - q²·plain[i][j] - j_left[i][j] + j_left[j][i],
+    packed; a pair is a witness iff that int is nonzero, and only the
+    witnesses are unpacked.
+    """
     n = cs.algebra.dim
-    den = cs.algebra.tensor[0] * cs.integer_matrix[1] ** 2
-    units = [[int(i == k) for i in range(n)] for k in range(n)]
+    q = cs.integer_matrix[1]
+    den = cs.algebra.tensor[0] * q * q
+    table = cs.pair_table
     witnesses = []
     for i in range(n):
         for j in range(i + 1, n):
-            value = _nijenhuis_int(cs, units[i], units[j])
-            if any(value):
-                witnesses.append((i + 1, j + 1, tuple(Fraction(v, den) for v in value)))
+            value = (
+                table.both(i, j)
+                - q * q * table.plain[i][j]
+                - table.j_left[i][j]
+                + table.j_left[j][i]
+            )
+            if value:
+                slots = unpack(value, table.width, n)
+                witnesses.append((i + 1, j + 1, tuple(Fraction(v, den) for v in slots)))
     return IntegrabilityReport(integrable=not witnesses, witnesses=tuple(witnesses))
 
 
@@ -159,24 +259,21 @@ class SpecialFlags:
 
 
 def classify_special(cs: ComplexStructure) -> SpecialFlags:
-    """Both flags on basis pairs i < j, compared as integer multiples by D·q².
+    """Both flags on basis pairs i < j, compared as packed multiples by D·q².
 
-    With B = D·[ , ] and J_int = q·J, abelian reads B(J_int e_i, J_int e_j)
-    = q²·B(e_i, e_j) and bi-invariant reads J_int B(e_i, e_j) = B(J_int e_i, e_j).
+    In the pair table, abelian reads both(i, j) = q²·plain[i][j] and
+    bi-invariant reads j_plain[i][j] = left[i][j].
     """
     n = cs.algebra.dim
-    b = cs.algebra.bracket_int
-    j_int, q = cs.integer_matrix
-    units = [[int(i == k) for i in range(n)] for k in range(n)]
-    images = [int_matvec(j_int, e) for e in units]
+    q = cs.integer_matrix[1]
+    table = cs.pair_table
     abelian = True
     bi_invariant = True
     for i in range(n):
         for j in range(i + 1, n):
-            plain = b(units[i], units[j])
-            if abelian and b(images[i], images[j]) != [q * q * v for v in plain]:
+            if abelian and table.both(i, j) != q * q * table.plain[i][j]:
                 abelian = False
-            if bi_invariant and int_matvec(j_int, plain) != b(images[i], units[j]):
+            if bi_invariant and table.j_plain[i][j] != table.left[i][j]:
                 bi_invariant = False
             if not abelian and not bi_invariant:
                 return SpecialFlags(False, False)

@@ -170,20 +170,22 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(q * a for a in self.entries))
 
     def __matmul__(self, other: Matrix) -> Matrix:
+        """The product, multiplied over the integers s·self and t·other.
+
+        Each nonzero entry is divided back once, as one ``Fraction(v, s·t)``.
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} columns vs {other.rows} rows")
-        n_out = other.cols
+        (left, s), (right, t) = cleared(self.entries), cleared(other.entries)
+        inner, n_out, den = self.cols, other.cols, s * t
+        columns = [right[j::n_out] for j in range(n_out)]
         zero = Fraction(0)
-        out: list[Fraction] = [zero] * (self.rows * n_out)
+        out = []
         for i in range(self.rows):
-            left = self.row(i)
-            base = i * n_out
-            for k, a in enumerate(left):
-                if a:
-                    right = other.row(k)
-                    for j, b in enumerate(right):
-                        if b:
-                            out[base + j] += a * b
+            row = left[i * inner : (i + 1) * inner]
+            for column in columns:
+                v = sum(map(mul, row, column))
+                out.append(Fraction(v, den) if v else zero)
         return Matrix(self.rows, n_out, tuple(out))
 
     def matvec(self, v: Sequence[Fraction]) -> Vector:
@@ -580,6 +582,43 @@ def int_matvec(flat: Sequence[int], v: Sequence[int]) -> list[int]:
     """Product ``M @ v`` for a flattened integer matrix with ``len(v)`` columns."""
     n = len(v)
     return [sum(map(mul, flat[r : r + n], v)) for r in range(0, len(flat), n)]
+
+
+def slot_width(bound: int) -> int:
+    """Slot width for packing vectors whose entries satisfy |v_k| <= ``bound``.
+
+    The bits of the bound plus a sign bit, so |v_k| < 2^(width-1).
+    """
+    return bound.bit_length() + 1
+
+
+def pack(terms: Iterable[tuple[int, int]], width: int) -> int:
+    """Σ v·2^(width·k) over the (k, v) in ``terms``: a vector as one int.
+
+    Packing (Kronecker substitution) is linear and exact for any ints, so
+    sums and integer multiples of packed vectors pack the sums and
+    multiples of the vectors, with no bound on the intermediate values.
+    On vectors with every |v_k| < 2^(width-1) it is injective: such a
+    vector packs to 0 iff it is zero, and ``unpack`` recovers it.
+    """
+    return sum(v << (width * k) for k, v in terms)
+
+
+def unpack(packed: int, width: int, n: int) -> list[int]:
+    """The n slots of ``packed``, each in [-2^(width-1), 2^(width-1)).
+
+    Each slot is read as a signed residue mod 2^width and subtracted before
+    the shift: a negative slot borrows from the slot above it.
+    """
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = []
+    for _ in range(n):
+        slot = packed & mask
+        if slot >= half:
+            slot -= mask + 1
+        out.append(slot)
+        packed = (packed - slot) >> width
+    return out
 
 
 def image_subspace(w: Subspace, m: Matrix) -> Subspace:

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from liecs import (
+    ComplexStructure,
     LieAlgebra,
     Matrix,
     Subspace,
     builtin,
+    change_of_basis,
     classify_special,
     contains,
     is_integrable,
@@ -218,6 +220,152 @@ def test_nijenhuis_witnesses_equal_fraction_oracle(label, cs):
         assert list(nijenhuis(cs, x, y)) == oracle_nijenhuis(alg, j, x, y)
 
 
+def direct_sum_with_j(entry, copies):
+    """``copies`` copies of a catalog algebra, with the block-diagonal J."""
+    n = entry.algebra.dim
+    brackets = {
+        (i + c * n, j + c * n): {k + c * n: v for k, v in enumerate(coeffs) if v}
+        for c in range(copies)
+        for i, j, coeffs in entry.algebra.structure
+    }
+    alg = LieAlgebra.from_brackets(n * copies, brackets, one_based=False)
+    j = entry.primary_structure.matrix
+    block = [
+        [j.at(r % n, k % n) if r // n == k // n else 0 for k in range(n * copies)]
+        for r in range(n * copies)
+    ]
+    return validate_almost_complex(alg, Matrix.from_rows(block))
+
+
+def test_nijenhuis_witnesses_equal_fraction_oracle_at_dim_12():
+    # a scrambled ch6 ⊕ ch6 with a generic conjugate of its J: dense
+    # constants and a dense J, so every table entry and both orders of
+    # each pair enter the witnesses
+    rng = random.Random(12)
+    cs = direct_sum_with_j(builtin("ch6"), 2)
+    p = random_rational_invertible(rng, 12)
+    alg = change_of_basis(cs.algebra, p)
+    q = random_rational_invertible(rng, 12)
+    generic = validate_almost_complex(alg, q @ p @ cs.matrix @ p.inverse() @ q.inverse())
+    expected = oracle_witnesses(alg, generic.matrix)
+    assert len(expected) == 66  # every pair is a witness
+    assert list(is_integrable(generic).witnesses) == expected
+
+
+# -- extremal inputs for the packed slot widths --------------------------------
+#
+# validate packs with slots of bound 3·n·M², the pair table with bound
+# (c² + 2·r·c + q²)·M (M the largest integer constant, c and r the largest
+# column and row sums of |q·J|).  Each input below attains a slot in the top
+# half of the range its bound allows, so a slot one bit narrower than
+# "bits of the bound plus a sign bit" would alias it and change a residual.
+
+BIG = 2**40 - 1
+
+
+def signed_dense_algebra(n, m, signs):
+    """Every constant ±m: [e_a, e_b] has sign signs[(a, b)][k] in slot k (a < b)."""
+    table = {
+        (a + 1, b + 1): {k + 1: m * signs[(a, b)][k] for k in range(n)}
+        for a in range(n)
+        for b in range(a + 1, n)
+    }
+    return LieAlgebra.from_brackets(n, table)
+
+
+def sign_table(n):
+    signs = {(a, b): [1] * n for a in range(n) for b in range(a + 1, n)}
+
+    def put(a, b, slot, s):
+        if a > b:
+            a, b, s = b, a, -s
+        signs[(a, b)][slot] = s
+
+    def get(a, b, slot):
+        return signs[(a, b)][slot] if a < b else -signs[(b, a)][slot]
+
+    return signs, put, get
+
+
+def extremal_jacobi_algebra(n, m):
+    """Constants ±m with the cyclic sum of (e_1, e_2, e_3) equal to 3(n-1)m² in slot 4.
+
+    Every one of the 3(n-1) products [e_a, e_b]^u·[e_u, e_c]^4 of the sum
+    is +m²: the signs of the three rows [e_1, e_2], [e_2, e_3], [e_3, e_1]
+    are chosen first, then slot 4 of each [e_u, e_c] matches them.
+    """
+    signs, put, get = sign_table(n)
+    i, j, k, l = 0, 1, 2, 3
+    for a, b, first, second in ((i, j, i, j), (j, k, j, k), (k, i, k, i)):
+        put(a, b, l, 1)
+        put(a, b, first, -1)
+        put(a, b, second, 1)
+    for u in range(n):
+        if u != k:
+            put(u, k, l, get(i, j, u))
+        if u != i:
+            put(u, i, l, get(j, k, u))
+        if u != j:
+            put(u, j, l, get(k, i, u))
+    return signed_dense_algebra(n, m, signs)
+
+
+def test_jacobi_slot_width_on_extremal_constants():
+    n = 4
+    alg = extremal_jacobi_algebra(n, BIG)
+    expected = oracle_jacobi_violations(alg)
+    peak = max(abs(v) for _, residual in expected for v in residual)
+    bound = 3 * n * BIG**2
+    assert peak == 3 * (n - 1) * BIG**2
+    assert peak >= 1 << (bound.bit_length() - 1)
+    assert [(v.triple, v.residual) for v in validate(alg).violations] == expected
+
+
+def extremal_nijenhuis_structure(q_entry, m):
+    """A dim-6 tensor (constants ±m) and J (entries 0 or q_entry) with N(e_1, e_2)
+    reaching 35·q_entry²·m + m in slot 3, against a bound of 45·q_entry²·m + m.
+
+    J e_1 = q_entry(e_3 + e_4) and J e_2 = q_entry(e_3 + e_5 + e_6) have
+    disjoint supports apart from e_3, and row 3 of J is q_entry throughout.
+    The signs make every product in the three terms of N count positively.
+    It need not square to -I: the kernels do not assume it.
+    """
+    n = 6
+    s_set, t_set, l = (2, 3), (2, 4, 5), 2
+    signs, put, _ = sign_table(n)
+    put(0, 1, l, -1)  # -q²·[e_1, e_2]
+    for a in s_set:
+        for b in t_set:
+            if a != b:
+                put(a, b, l, 1)  # [J e_1, J e_2]
+        for k in range(n):
+            put(a, 1, k, -1)  # -J[J e_1, e_2]
+    for b in t_set:
+        for k in range(n):
+            put(0, b, k, -1)  # -J[e_1, J e_2]
+    alg = signed_dense_algebra(n, m, signs)
+    rows = [[0] * n for _ in range(n)]
+    for a in s_set:
+        rows[a][0] = q_entry
+    for b in t_set:
+        rows[b][1] = q_entry
+    rows[l] = [q_entry] * n
+    return ComplexStructure(alg, Matrix.from_rows(rows))
+
+
+def test_nijenhuis_slot_width_on_extremal_structure():
+    q_entry = 2**20 - 1
+    cs = extremal_nijenhuis_structure(q_entry, BIG)
+    expected = oracle_witnesses(cs.algebra, cs.matrix)
+    peak = max(abs(v) for _, _, value in expected for v in value)
+    bound = 45 * q_entry**2 * BIG + BIG  # (c² + 2·r·c + q²)·M with c = 3·q_entry, r = 6·q_entry
+    assert peak == abs(expected[0][2][2]) == 35 * q_entry**2 * BIG + BIG
+    assert peak >= 1 << (bound.bit_length() - 1)
+    assert list(is_integrable(cs).witnesses) == expected
+    flags = classify_special(cs)
+    assert (flags.abelian, flags.bi_invariant) == oracle_special(cs.algebra, cs.matrix)
+
+
 def test_special_flags_exercised_by_scrambled_inputs():
     # the oracle comparison above must see both values of each flag
     flags = {oracle_special(cs.algebra, cs.matrix) for _, cs in SCRAMBLED}
@@ -282,6 +430,15 @@ def test_nijenhuis_antisymmetry_and_j_twist():
             nxy = nijenhuis(cs, x, y)
             assert nijenhuis(cs, y, x) == tuple(-c for c in nxy)
             assert nijenhuis(cs, cs.apply(x), cs.apply(y)) == tuple(-c for c in nxy)
+
+
+@pytest.mark.parametrize("length", [6, 2])
+def test_nijenhuis_rejects_arguments_of_the_wrong_length(length):
+    cs = builtin("kt4").primary_structure
+    with pytest.raises(ValueError, match="length"):
+        nijenhuis(cs, vector([1] * length), basis_vector(4, 0))
+    with pytest.raises(ValueError, match="length"):
+        nijenhuis(cs, basis_vector(4, 0), vector([1] * length))
 
 
 def test_nijenhuis_nonzero_witness_on_swapped_hh6():

@@ -13,11 +13,14 @@ from liecs.linalg import (
     is_positive_definite,
     membership_conditions,
     orthogonal_complement,
+    pack,
     parse_rational,
     rref,
+    slot_width,
     solve_membership_kernel,
     subspace_intersection,
     subspace_sum,
+    unpack,
 )
 
 from conftest import fraction_rref
@@ -399,3 +402,88 @@ def test_clear_denominators_preserves_span(entries):
     assert all(x.denominator == 1 for x in map(Fraction, cleared))
     n = len(entries)
     assert Subspace.from_rows(n, [entries]) == Subspace.from_rows(n, [cleared])
+
+
+# -- packed vectors ------------------------------------------------------------
+
+
+@given(
+    st.integers(0, 2**70).flatmap(
+        lambda bound: st.tuples(
+            st.just(bound), st.lists(st.integers(-bound, bound), min_size=0, max_size=8)
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_unpack_inverts_pack_within_the_bound(case):
+    bound, values = case
+    width = slot_width(bound)
+    packed = pack(enumerate(values), width)
+    assert unpack(packed, width, len(values)) == values
+    assert (packed == 0) == (not any(values))
+
+
+def test_slot_extremes_round_trip_and_one_bit_less_aliases():
+    width = slot_width(2**12 - 1)
+    top = 2 ** (width - 1) - 1
+    values = [top, -top, -(top + 1), 0, -1, top]
+    packed = pack(enumerate(values), width)
+    assert unpack(packed, width, len(values)) == values
+    assert unpack(pack(enumerate([top, 1]), width - 1), width - 1, 2) != [top, 1]
+
+
+@given(
+    st.integers(1, 6),
+    st.lists(st.lists(st.integers(-50, 50), min_size=6, max_size=6), min_size=3, max_size=3),
+)
+@settings(max_examples=50, deadline=None)
+def test_packed_sums_are_sums_of_packed(n, vectors):
+    # linearity: integer combinations commute with packing at any width
+    vectors = [v[:n] for v in vectors]
+    combination = [2 * a - 3 * b + c for a, b, c in zip(*vectors)]
+    width = slot_width(max(map(abs, combination), default=0))
+    packed = [pack(enumerate(v), 3) for v in vectors]  # too narrow to unpack, still linear
+    rewidened = [pack(enumerate(v), width) for v in vectors]
+    assert unpack(2 * rewidened[0] - 3 * rewidened[1] + rewidened[2], width, n) == combination
+    assert 2 * packed[0] - 3 * packed[1] + packed[2] == pack(enumerate(combination), 3)
+
+
+# -- products ----------------------------------------------------------------
+
+
+def fraction_product(a, b):
+    return Matrix.from_rows(
+        [
+            [sum((a.at(i, k) * b.at(k, j) for k in range(a.cols)), Fraction(0)) for j in range(b.cols)]
+            for i in range(a.rows)
+        ],
+        cols=b.cols,
+    )
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda inner: st.tuples(
+            st.integers(1, 4).flatmap(
+                lambda r: st.lists(
+                    st.lists(rationals, min_size=inner, max_size=inner), min_size=r, max_size=r
+                )
+            ),
+            st.integers(1, 4).flatmap(
+                lambda c: st.lists(
+                    st.lists(rationals, min_size=c, max_size=c), min_size=inner, max_size=inner
+                )
+            ),
+            st.just(inner),
+        )
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_product_equals_fraction_product(case):
+    left_rows, right_rows, inner = case
+    a = Matrix(len(left_rows), inner, tuple(x for r in left_rows for x in r))
+    cols = len(right_rows[0]) if right_rows else 2
+    b = Matrix(inner, cols, tuple(x for r in right_rows for x in r))
+    product = a @ b
+    assert product == fraction_product(a, b)
+    assert all(isinstance(x, Fraction) for x in product.entries)
