@@ -12,7 +12,8 @@ ordered pair (i, j), the sparse integer row of D·[e_i, e_j].  Jacobi
 sums, Nijenhuis values, brackets of subspaces and the ad maps are integer
 contractions of it; Python ints are unbounded, so nothing overflows.  A
 value leaves as a ``Fraction`` only at the API boundary, divided by the
-power of D (and of the other cleared denominators) it carries.
+power of D it carries and by the denominators of the ``linalg.Matrix``
+operands it was computed from (``Matrix.den``).
 
 The all-triples and all-pairs kernels (Jacobi here, Nijenhuis and the
 special flags in ``complex_structure``) read the tensor packed: each row
@@ -47,10 +48,9 @@ from .linalg import (
     Subspace,
     Vector,
     as_rational,
-    cleared,
     int_kernel,
+    int_matvec,
     int_row_times_matrix,
-    is_zero_vector,
     pack,
     slot_width,
     unpack,
@@ -159,9 +159,9 @@ class LieAlgebra:
         """Bilinear extension of the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("bracket arguments must have length equal to dim")
-        (x_int, s), (y_int, t) = cleared(x), cleared(y)
-        den = self.tensor[0] * s * t
-        return tuple(Fraction(v, den) for v in self.bracket_int(x_int, y_int))
+        xy = Matrix.from_rows([x, y])
+        den = self.tensor[0] * xy.den**2
+        return tuple(Fraction(v, den) for v in self.bracket_int(*xy.int_rows()))
 
     def right_ad(self, i: int) -> list[int]:
         """The map x -> D·[x, e_i] as an integer matrix, flattened row-major."""
@@ -355,15 +355,20 @@ def change_of_basis(alg: LieAlgebra, p: Matrix) -> LieAlgebra:
 
     The transported bracket is p ∘ [ , ] ∘ (p⁻¹ × p⁻¹): with p = 2·I every
     structure constant halves, and round-tripping with p⁻¹ is the identity.
+    On integers, with Q = s·p⁻¹ and P = t·p, the new [e_i, e_j] is
+    P·D·[Q e_i, Q e_j] over t·D·s², one ``Fraction`` per nonzero constant.
     Raises on a singular p.
     """
-    if p.rows != alg.dim or p.cols != alg.dim:
+    n = alg.dim
+    if p.rows != n or p.cols != n:
         raise ValueError("change-of-basis matrix size does not match the algebra")
     p_inv = p.inverse()
+    columns = p_inv.transpose().int_rows()
+    den = p.den * alg.tensor[0] * p_inv.den**2
     brackets = {}
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            value = p.matvec(alg.bracket(p_inv.column(i), p_inv.column(j)))
-            if not is_zero_vector(value):
-                brackets[(i, j)] = {k: value[k] for k in range(alg.dim) if value[k] != 0}
-    return LieAlgebra.from_brackets(alg.dim, brackets, one_based=False)
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = int_matvec(p.ints, alg.bracket_int(columns[i], columns[j]))
+            if any(value):
+                brackets[(i, j)] = {k: Fraction(v, den) for k, v in enumerate(value) if v}
+    return LieAlgebra.from_brackets(n, brackets, one_based=False)

@@ -108,7 +108,11 @@ class _SearchOutcome:
 def _load_input(raw: str):
     path = Path(raw)
     if path.exists():
-        parsed = parse_algebra_file(path.read_bytes())
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise AlgebraFileError(f"cannot read input {raw!r}: {exc.strerror or exc}") from exc
+        parsed = parse_algebra_file(data)
         return (
             str(raw),
             parsed.algebra,

@@ -12,9 +12,10 @@ decides it exactly.
 Both all-pairs kernels, ``is_integrable`` and ``classify_special``, read one
 ``PairTable`` per structure (``ComplexStructure.pair_table``): the packed
 integer values B(e_i, e_j), B(J e_i, e_j) and their J-images for every
-ordered pair, with B = D·[ , ] and J cleared to J_int = q·J, built once in
-O(n⁴).  N(e_i, e_j) is then n big-int multiply-adds away, and both flags
-are comparisons of packed ints.  The slot width comes from the bound
+ordered pair, with B = D·[ , ] and J_int = q·J the integer entries of J
+over its denominator (``J.ints`` over ``J.den``), built once in O(n⁴).
+N(e_i, e_j) is then n big-int multiply-adds away, and both flags are
+comparisons of packed ints.  The slot width comes from the bound
 (c² + 2·r·c + q²)·M, c and r the largest column and row sums of |J_int|
 and M the largest integer structure constant; see ``PairTable``.
 ``nijenhuis`` on arbitrary vectors uses the integer bracket directly.
@@ -32,7 +33,6 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    cleared,
     int_matvec,
     is_positive_definite,
     pack,
@@ -56,16 +56,11 @@ class ComplexStructure:
     def apply(self, v: Sequence[Fraction]) -> Vector:
         return self.matrix.matvec(v)
 
-    @cached_property
-    def integer_matrix(self) -> tuple[list[int], int]:
-        """(J_int, q): J_int = q·J flattened row-major, q the lcm of J's denominators."""
-        return cleared(self.matrix.entries)
-
     def image(self, w: Subspace) -> Subspace:
-        """The subspace J(w), mapped by the integer multiple J_int of J."""
+        """The subspace J(w), mapped by the integer multiple J.ints of J."""
         if w.ambient_dim != self.matrix.cols:
             raise ValueError("map width does not match ambient dimension")
-        j_int = self.integer_matrix[0]
+        j_int = self.matrix.ints
         return Subspace.from_int_rows(w.ambient_dim, [int_matvec(j_int, r) for r in w.rows])
 
     @cached_property
@@ -108,13 +103,13 @@ def validate_almost_complex(alg: LieAlgebra, j: Matrix) -> ComplexStructure:
     if j.rows != alg.dim or j.cols != alg.dim:
         raise ValueError(f"J must be {alg.dim}x{alg.dim}, got {j.rows}x{j.cols}")
     square_plus_identity = (j @ j) + Matrix.identity(alg.dim)
-    for i in range(alg.dim):
-        for k in range(alg.dim):
-            value = square_plus_identity.at(i, k)
-            if value != 0:
-                raise ValueError(
-                    f"J^2 != -I: entry ({i + 1}, {k + 1}) of J^2 + I equals {value}"
-                )
+    first = next((k for k, a in enumerate(square_plus_identity.ints) if a), None)
+    if first is not None:
+        i, k = divmod(first, alg.dim)
+        raise ValueError(
+            f"J^2 != -I: entry ({i + 1}, {k + 1}) of J^2 + I equals "
+            f"{square_plus_identity.at(i, k)}"
+        )
     return ComplexStructure(alg, j)
 
 
@@ -122,7 +117,8 @@ def validate_almost_complex(alg: LieAlgebra, j: Matrix) -> ComplexStructure:
 class PairTable:
     """Packed integer bracket values on ordered basis pairs, one slot width.
 
-    With B = D·[ , ] and J_int = q·J, for all i, j (``linalg.pack``):
+    With B = D·[ , ] and J_int = q·J (``J.ints``, q = ``J.den``), for all
+    i, j (``linalg.pack``):
 
         plain[i][j]   = B(e_i, e_j)         j_plain[i][j] = J_int B(e_i, e_j)
         left[i][j]    = B(J_int e_i, e_j)   j_left[i][j]  = J_int B(J_int e_i, e_j)
@@ -154,7 +150,7 @@ class PairTable:
         """The table in O(n⁴): n³ big-int multiply-adds of n-slot ints."""
         n = cs.algebra.dim
         rows = cs.algebra.tensor[1]
-        j_int, q = cs.integer_matrix
+        j_int, q = cs.matrix.ints, cs.matrix.den
         columns = tuple(
             tuple((b, j_int[b * n + j]) for b in range(n) if j_int[b * n + j]) for j in range(n)
         )
@@ -185,8 +181,9 @@ class PairTable:
 def nijenhuis(cs: ComplexStructure, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
     """Exact value of N(x, y) for any vectors x, y.
 
-    Computed as D·q²·N on the cleared integer vectors, with B = D·[ , ]
-    and J_int = q·J,
+    Computed as D·q²·s²·N on the integer vectors s·x and s·y (the rows of
+    ``Matrix.from_rows([x, y])``, s its ``den``), with B = D·[ , ] and
+    J_int = q·J,
 
         B(J_int x, J_int y) - q²·B(x, y) - J_int (B(J_int x, y) + B(x, J_int y)),
 
@@ -196,11 +193,12 @@ def nijenhuis(cs: ComplexStructure, x: Sequence[Fraction], y: Sequence[Fraction]
     if len(x) != n or len(y) != n:
         raise ValueError("nijenhuis arguments must have length equal to dim")
     b = cs.algebra.bracket_int
-    j_int, q = cs.integer_matrix
-    (x_int, s), (y_int, t) = cleared(x), cleared(y)
+    j_int, q = cs.matrix.ints, cs.matrix.den
+    xy = Matrix.from_rows([x, y])
+    x_int, y_int = xy.int_rows()
     jx, jy = int_matvec(j_int, x_int), int_matvec(j_int, y_int)
     mixed = int_matvec(j_int, [u + v for u, v in zip(b(jx, y_int), b(x_int, jy))])
-    den = cs.algebra.tensor[0] * q * q * s * t
+    den = cs.algebra.tensor[0] * q * q * xy.den**2
     return tuple(
         Fraction(u - q * q * v - w, den)
         for u, v, w in zip(b(jx, jy), b(x_int, y_int), mixed)
@@ -228,7 +226,7 @@ def is_integrable(cs: ComplexStructure) -> IntegrabilityReport:
     witnesses are unpacked.
     """
     n = cs.algebra.dim
-    q = cs.integer_matrix[1]
+    q = cs.matrix.den
     den = cs.algebra.tensor[0] * q * q
     table = cs.pair_table
     witnesses = []
@@ -265,7 +263,7 @@ def classify_special(cs: ComplexStructure) -> SpecialFlags:
     bi-invariant reads j_plain[i][j] = left[i][j].
     """
     n = cs.algebra.dim
-    q = cs.integer_matrix[1]
+    q = cs.matrix.den
     table = cs.pair_table
     abelian = True
     bi_invariant = True

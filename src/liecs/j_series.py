@@ -39,10 +39,10 @@ def j_ascending_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
 
     It is the ascending chain of the maps x -> [x, e_i] and x -> [Jx, e_i]
     for every basis index i, taken as the integer products D·ad_i and
-    D·ad_i·J_int; the scale factors do not change a kernel.
+    D·ad_i·J_int, J_int = ``J.ints``; the scale factors do not change a kernel.
     """
     n = alg.dim
-    j_int = cs.integer_matrix[0]
+    j_int = cs.matrix.ints
     maps = []
     for i in range(n):
         ad = alg.right_ad(i)

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Rationals enter and leave as :class:`fractions.Fraction`, but every
-subspace computation runs on Python ints (unbounded, so nothing
-overflows).  A :class:`Subspace` stores its integer canonical form: the
-reduced row echelon form of its row space, zero rows removed, each row
+matrix and subspace computation runs on Python ints (unbounded, so
+nothing overflows).  A :class:`Matrix` M is stored as the integers den·M
+over one positive den in lowest terms, cleared once by its constructor.
+A :class:`Subspace` stores its integer canonical form: the reduced row
+echelon form of its row space, zero rows removed, each row
 scaled to its primitive integer multiple with a positive pivot.  The form
 is unique, so two subspaces are equal iff their stored rows are
 entry-wise equal, which turns every set-theoretic question below into a
@@ -23,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
 
@@ -79,29 +81,49 @@ def basis_vector(n: int, k: int) -> Vector:
     return tuple(Fraction(1 if i == k else 0) for i in range(n))
 
 
-def is_zero_vector(x: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in x)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix:
-    """Immutable dense rational matrix, row-major."""
+    """Immutable dense rational matrix M, row-major, stored over the integers.
+
+    ``ints`` is den·M flattened, over the one positive ``den`` with
+    gcd(den, *ints) = 1.  The form is unique, so two matrices are equal (and
+    hash equal) iff they have the same shape and value.  The constructor
+    takes rationals (``Fraction``, int or ``"p/q"``) and is the one place
+    where they become integers; ``entries``, ``at`` and ``row`` are
+    ``Fraction`` views, and every operation below reads ``ints``.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    ints: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
+        values = [a if isinstance(a, int) else as_rational(a) for a in entries]
+        den = lcm(*(a.denominator for a in values))
+        self._store(rows, cols, [a.numerator * (den // a.denominator) for a in values], den)
+
+    @classmethod
+    def _over(cls, rows: int, cols: int, ints: Sequence[int], den: int) -> Matrix:
+        """The matrix ints/den, for integer ``ints`` and den > 0."""
+        m = cls.__new__(cls)
+        m._store(rows, cols, ints, den)
+        return m
+
+    def _store(self, rows: int, cols: int, ints: Sequence[int], den: int) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(ints) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(ints)}")
+        g = gcd(den, *ints)
+        if g > 1:
+            ints, den = [a // g for a in ints], den // g
+        for name, value in (("rows", rows), ("cols", cols), ("ints", tuple(ints)), ("den", den)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> Matrix:
-        row_tuples = [vector(r) for r in rows]
+        row_tuples = [tuple(r) for r in rows]
         if row_tuples:
             width = len(row_tuples[0])
             if any(len(r) != width for r in row_tuples):
@@ -110,26 +132,26 @@ class Matrix:
                 raise ValueError(f"rows have width {width}, expected {cols}")
         else:
             width = 0 if cols is None else cols
-        flat = tuple(x for r in row_tuples for x in r)
-        return Matrix(len(row_tuples), width, flat)
+        return Matrix(len(row_tuples), width, [x for r in row_tuples for x in r])
 
     @staticmethod
     def identity(n: int) -> Matrix:
-        return Matrix(
-            n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n))
-        )
+        return Matrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> Matrix:
-        return Matrix(rows, cols, (Fraction(0),) * (rows * cols))
+        return Matrix(rows, cols, [0] * (rows * cols))
 
     @staticmethod
     def diagonal(values: Iterable) -> Matrix:
-        vals = vector(values)
+        vals = list(values)
         n = len(vals)
-        return Matrix(
-            n, n, tuple(vals[i] if i == j else Fraction(0) for i in range(n) for j in range(n))
-        )
+        return Matrix(n, n, [vals[i] if i == j else 0 for i in range(n) for j in range(n)])
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries as ``Fraction``s, built on first request."""
+        return tuple(Fraction(a, self.den) for a in self.ints)
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
@@ -137,123 +159,115 @@ class Matrix:
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def row_list(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
 
+    def int_rows(self) -> list[list[int]]:
+        """The rows of den·M as integer lists."""
+        c = self.cols
+        return [list(self.ints[i * c : (i + 1) * c]) for i in range(self.rows)]
+
     def transpose(self) -> Matrix:
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        c = self.cols
+        return Matrix._over(c, self.rows, [a for j in range(c) for a in self.ints[j::c]], self.den)
 
     def __add__(self, other: Matrix) -> Matrix:
         self._require_same_shape(other)
-        return Matrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        ints = [a * s + b * t for a, b in zip(self.ints, other.ints)]
+        return Matrix._over(self.rows, self.cols, ints, den)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        self._require_same_shape(other)
-        return Matrix(
-            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
+        return self + (-other)
 
     def __neg__(self) -> Matrix:
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix._over(self.rows, self.cols, [-a for a in self.ints], self.den)
 
     def scale(self, c) -> Matrix:
-        q = as_rational(c)
-        return Matrix(self.rows, self.cols, tuple(q * a for a in self.entries))
+        k = Matrix(1, 1, [c])
+        ints = [k.ints[0] * a for a in self.ints]
+        return Matrix._over(self.rows, self.cols, ints, self.den * k.den)
 
     def __matmul__(self, other: Matrix) -> Matrix:
-        """The product, multiplied over the integers s·self and t·other.
-
-        Each nonzero entry is divided back once, as one ``Fraction(v, s·t)``.
-        """
+        """The product (s·self)(t·other) over the integers, kept over s·t."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} columns vs {other.rows} rows")
-        (left, s), (right, t) = cleared(self.entries), cleared(other.entries)
-        inner, n_out, den = self.cols, other.cols, s * t
-        columns = [right[j::n_out] for j in range(n_out)]
-        zero = Fraction(0)
-        out = []
-        for i in range(self.rows):
-            row = left[i * inner : (i + 1) * inner]
-            for column in columns:
-                v = sum(map(mul, row, column))
-                out.append(Fraction(v, den) if v else zero)
-        return Matrix(self.rows, n_out, tuple(out))
+        inner, n_out = self.cols, other.cols
+        columns = [other.ints[j::n_out] for j in range(n_out)]
+        ints = [
+            sum(map(mul, self.ints[i * inner : (i + 1) * inner], column))
+            for i in range(self.rows)
+            for column in columns
+        ]
+        return Matrix._over(self.rows, n_out, ints, self.den * other.den)
 
     def matvec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)}, expected {self.cols}")
-        zero = Fraction(0)
-        out: list[Fraction] = [zero] * self.rows
-        for i in range(self.rows):
-            row = self.row(i)
-            acc = zero
-            for k, b in enumerate(v):
-                if b:
-                    a = row[k]
-                    if a:
-                        acc += a * b
-            out[i] = acc
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return (self @ Matrix(self.cols, 1, v)).entries
 
     def is_symmetric(self) -> bool:
+        n, ints = self.rows, self.ints
         return self.rows == self.cols and all(
-            self.at(i, j) == self.at(j, i) for i in range(self.rows) for j in range(i)
+            ints[i * n + j] == ints[j * n + i] for i in range(n) for j in range(i)
         )
 
     def det(self) -> Fraction:
-        """Determinant via fraction-free-ish Gaussian elimination (exact)."""
+        """det(M) = det(den·M) / den^n, with det(den·M) = ± the last Bareiss pivot."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        work = [list(self.row(i)) for i in range(n)]
-        det = Fraction(1)
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                det = -det
-            pivot = work[col][col]
-            det *= pivot
-            for r in range(col + 1, n):
-                factor = work[r][col] / pivot
-                if factor != 0:
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return det
+        sign, last = 1, 1
+        for last, swapped in _bareiss(self.int_rows()):
+            if swapped:
+                sign = -sign
+        return Fraction(sign * last, self.den**self.rows)
 
     def inverse(self) -> Matrix:
+        """Gauss-Jordan on [den·M | I]: pivot row i is c_i·[e_i | row i of (den·M)⁻¹]."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        work = [
-            clear_denominators(self.row(i) + tuple(Fraction(int(i == j)) for j in range(n)))
-            for i in range(n)
-        ]
+        work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.int_rows())]
         reduced, pivots = _eliminate(work, n)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix.from_rows(
-            [[Fraction(a, row[i]) for a in row[n:]] for i, row in enumerate(reduced)]
-        )
+        den = lcm(*(row[i] for i, row in enumerate(reduced)))
+        ints = [a * self.den * (den // row[i]) for i, row in enumerate(reduced) for a in row[n:]]
+        return Matrix._over(n, n, ints, den)
 
     def _require_same_shape(self, other: Matrix) -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
+
+
+def _bareiss(work: list[list[int]]) -> Iterator[tuple[int, bool]]:
+    """Fraction-free (Bareiss) elimination of a square integer matrix, in place.
+
+    Yields (pivot, swapped) per column; a zero leading entry is swapped with
+    the first nonzero one below it, and a column with none yields (0, False)
+    and ends.  Divisions are exact.  The last pivot is ± the determinant;
+    before any swap the k-th pivot is the k-th leading principal minor.
+    """
+    n = len(work)
+    previous = 1
+    for k in range(n):
+        below = next((r for r in range(k, n) if work[r][k]), None)
+        if below is None:
+            yield 0, False
+            return
+        if below != k:
+            work[k], work[below] = work[below], work[k]
+        top = work[k]
+        p = top[k]
+        yield p, below != k
+        for row in work[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * top[j]) // previous
+        previous = p
 
 
 def _eliminate(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], list[int]]:
@@ -346,7 +360,7 @@ def rref(m: Matrix) -> Matrix:
 
     The result is the canonical representative of the row space of ``m``.
     """
-    return Subspace.from_rows(m.cols, m.row_list()).basis
+    return Subspace.from_int_rows(m.cols, m.int_rows()).basis
 
 
 @dataclass(frozen=True)
@@ -390,14 +404,8 @@ class Subspace:
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Sequence[Sequence]) -> Subspace:
-        """Canonical form of the span of rational rows (anything ``vector`` accepts)."""
-        int_rows = []
-        for r in rows:
-            v = vector(r)
-            if len(v) != ambient_dim:
-                raise ValueError(f"rows have width {len(v)}, expected {ambient_dim}")
-            int_rows.append(clear_denominators(v))
-        return Subspace.from_int_rows(ambient_dim, int_rows)
+        """Canonical form of the span of rational rows (anything ``Matrix`` accepts)."""
+        return Subspace.from_int_rows(ambient_dim, Matrix.from_rows(rows, ambient_dim).int_rows())
 
     @staticmethod
     def from_int_rows(ambient_dim: int, rows: Sequence[Sequence[int]]) -> Subspace:
@@ -431,11 +439,10 @@ class Subspace:
     @cached_property
     def basis(self) -> Matrix:
         """The reduced row echelon form as a rational matrix: each row over its pivot."""
-        return Matrix(
-            self.dim,
-            self.ambient_dim,
-            tuple(Fraction(a, row[c]) for row, c in zip(self.rows, self.pivots) for a in row),
-        )
+        rows = list(zip(self.rows, self.pivots))
+        den = lcm(*(row[c] for row, c in rows))
+        ints = [a * (den // row[c]) for row, c in rows for a in row]
+        return Matrix._over(self.dim, self.ambient_dim, ints, den)
 
     def basis_rows(self) -> list[Vector]:
         return self.basis.row_list()
@@ -443,7 +450,7 @@ class Subspace:
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        return not any(_reduce(clear_denominators(vector(v)), self.rows, self.pivots))
+        return not any(_reduce(Matrix(1, len(v), v).ints, self.rows, self.pivots))
 
 
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -489,8 +496,9 @@ def contains(a: Subspace, b: Subspace) -> bool:
 
 def solve_membership_kernel(conditions: Matrix) -> Subspace:
     """The solution space ``{x : conditions @ x = 0}`` as a canonical subspace."""
-    rows = [clear_denominators(r) for r in conditions.row_list()]
-    return Subspace.from_int_rows(conditions.cols, int_kernel(rows, conditions.cols))
+    return Subspace.from_int_rows(
+        conditions.cols, int_kernel(conditions.int_rows(), conditions.cols)
+    )
 
 
 def membership_conditions(w: Subspace) -> Matrix:
@@ -505,36 +513,22 @@ def membership_conditions(w: Subspace) -> Matrix:
 def is_positive_definite(gram: Matrix) -> bool:
     """Symmetric, and every pivot of elimination without row swaps is positive.
 
-    Fraction-free (Bareiss) elimination of the cleared matrix: the k-th
-    pivot is then the k-th leading principal minor, so this is Sylvester's
-    criterion in one O(n³) pass.  Clearing scales by a positive number,
-    which keeps every sign.
+    Bareiss elimination of den·gram: while no row is swapped, the k-th
+    pivot is the k-th leading principal minor, so this is Sylvester's
+    criterion in one O(n³) pass.  The factor den is positive, which keeps
+    every sign.
     """
-    if not gram.is_symmetric():
-        return False
-    n = gram.rows
-    flat = clear_denominators(gram.entries)
-    work = [flat[i * n : (i + 1) * n] for i in range(n)]
-    previous = 1
-    for k in range(n):
-        pivot_row = work[k]
-        p = pivot_row[k]
-        if p <= 0:
-            return False
-        for row in work[k + 1 :]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * p - f * pivot_row[j]) // previous
-        previous = p
-    return True
+    return gram.is_symmetric() and all(
+        p > 0 and not swapped for p, swapped in _bareiss(gram.int_rows())
+    )
 
 
 def orthogonal_complement(a: Subspace, gram: Matrix) -> Subspace:
     """Complement of ``a`` with respect to an SPD bilinear form.
 
     Returns {x : <u, x>_gram = 0 for all u in a}; positive definiteness
-    guarantees a ⊕ a^⊥ is the full space.  The gram matrix is cleared by
-    one positive factor, which leaves the kernel unchanged.
+    guarantees a ⊕ a^⊥ is the full space.  The conditions read den·gram,
+    a positive multiple, which leaves the kernel unchanged.
     """
     n = a.ambient_dim
     if gram.rows != n or gram.cols != n:
@@ -545,24 +539,8 @@ def orthogonal_complement(a: Subspace, gram: Matrix) -> Subspace:
         raise ValueError("gram matrix is not positive definite")
     if a.is_zero():
         return Subspace.full(n)
-    flat = clear_denominators(gram.entries)
-    conditions = [int_row_times_matrix(row, flat, n) for row in a.rows]
+    conditions = [int_row_times_matrix(row, gram.ints, n) for row in a.rows]
     return Subspace.from_int_rows(n, int_kernel(conditions, n))
-
-
-def cleared(vec: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The integer vector s·vec and the positive lcm s of its denominators."""
-    scale = lcm(*(a.denominator for a in vec))
-    return [a.numerator * (scale // a.denominator) for a in vec], scale
-
-
-def clear_denominators(vec: Sequence[Fraction]) -> list[int]:
-    """Scale a rational vector by the positive lcm of denominators.
-
-    The result spans the same line, which is all the row-space machinery
-    needs; integer arithmetic is considerably cheaper than Fraction.
-    """
-    return cleared(vec)[0]
 
 
 def int_row_times_matrix(row: Sequence[int], flat: Sequence[int], cols: int) -> list[int]:
@@ -624,10 +602,9 @@ def unpack(packed: int, width: int, n: int) -> list[int]:
 def image_subspace(w: Subspace, m: Matrix) -> Subspace:
     """Canonical form of ``m(w)``, the image of w under the linear map m.
 
-    The map is cleared by one positive factor, which rescales every image
-    row and leaves the span unchanged.
+    The rows are mapped by den·m, a positive multiple, which rescales every
+    image row and leaves the span unchanged.
     """
     if m.cols != w.ambient_dim:
         raise ValueError("map width does not match ambient dimension")
-    flat = clear_denominators(m.entries)
-    return Subspace.from_int_rows(m.rows, [int_matvec(flat, r) for r in w.rows])
+    return Subspace.from_int_rows(m.rows, [int_matvec(m.ints, r) for r in w.rows])

@@ -44,8 +44,16 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class _JsonObject(dict):
+    """A decoded JSON object that also keeps its (key, value) pairs, repeated keys included."""
+
+    def __init__(self, pairs: list[tuple[str, object]]):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def _parse_rational_field(text, context: str):
-    if not isinstance(text, str) and not isinstance(text, int):
+    if not isinstance(text, (str, int)) or isinstance(text, bool):
         raise AlgebraFileError(f"{context}: expected a rational string, got {text!r}")
     try:
         return parse_rational(str(text))
@@ -60,9 +68,12 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
     errors name the violated invariant (index range, zero denominator,
     Jacobi triple, J² entry, stratification property and layer).
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
-        doc = json.loads(text)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise AlgebraFileError(f"input is not UTF-8 text: {exc}") from exc
+    try:
+        doc = json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
@@ -92,11 +103,11 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
             )
         if (i, j) in table:
             raise AlgebraFileError(f"brackets[{idx}]: duplicate pair ({i}, {j})")
-        out = item.get("out", {})
+        out = item.get("out", _JsonObject([]))
         if not isinstance(out, dict):
             raise AlgebraFileError(f"brackets[{idx}]: 'out' must be an object")
         coeffs: dict[int, object] = {}
-        for key, value in out.items():
+        for key, value in out.pairs:
             try:
                 k = int(key)
             except (TypeError, ValueError):
@@ -107,6 +118,8 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
                 raise AlgebraFileError(
                     f"brackets[{idx}]: output index {k} out of range 1..{dim}"
                 )
+            if k in coeffs:
+                raise AlgebraFileError(f"brackets[{idx}]: duplicate output index {k}")
             coeffs[k] = _parse_rational_field(value, f"brackets[{idx}].out[{key!r}]")
         table[(i, j)] = coeffs
     algebra = LieAlgebra.from_brackets(dim, table, one_based=True)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from liecs import (
+    LieAlgebra,
     Matrix,
     Stratification,
     builtin,
@@ -49,6 +50,37 @@ def fraction_rref(rows, n: int) -> list[tuple[Fraction, ...]]:
                 r[:] = [a - factor * b for a, b in zip(r, pivot_row)]
         out.append(pivot_row)
     return [tuple(r) for r in out]
+
+
+def fraction_change_of_basis(alg: LieAlgebra, p: Matrix) -> LieAlgebra:
+    """The bracket in the coordinates y = p @ x, on ``Fraction``s throughout.
+
+    p ∘ [ , ] ∘ (p⁻¹ × p⁻¹) on the basis pairs, with p⁻¹ from
+    ``fraction_rref`` of [p | I] and the bracket expanded from the structure
+    constants: the oracle for the library's integer ``change_of_basis``.
+    """
+    n = alg.dim
+    p_rows = [list(p.row(r)) for r in range(n)]
+    augmented = [row + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(p_rows)]
+    inverse = [row[n:] for row in fraction_rref(augmented, 2 * n)]
+    columns = [[inverse[r][c] for r in range(n)] for c in range(n)]
+
+    def bracket(x, y):
+        out = [Fraction(0)] * n
+        for i, j, coeffs in alg.structure:
+            w = x[i] * y[j] - x[j] * y[i]
+            for k, c in enumerate(coeffs):
+                out[k] += w * c
+        return out
+
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            b = bracket(columns[i], columns[j])
+            value = [sum((row[k] * b[k] for k in range(n)), Fraction(0)) for row in p_rows]
+            if any(value):
+                brackets[(i, j)] = {k: v for k, v in enumerate(value) if v}
+    return LieAlgebra.from_brackets(n, brackets, one_based=False)
 
 
 def conjugate_entry(entry, p: Matrix):

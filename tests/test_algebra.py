@@ -22,7 +22,12 @@ from liecs import (
 )
 from liecs.linalg import basis_vector, vector
 
-from conftest import conjugate_entry, fraction_rref, random_invertible
+from conftest import (
+    conjugate_entry,
+    fraction_change_of_basis,
+    fraction_rref,
+    random_invertible,
+)
 
 
 @pytest.fixture
@@ -262,6 +267,32 @@ def test_change_of_basis_round_trip(kt4, rng):
     for _ in range(5):
         p = random_invertible(rng, 4)
         assert change_of_basis(change_of_basis(kt4, p), p.inverse()) == kt4
+
+
+def test_change_of_basis_equals_fraction_oracle(catalog):
+    # seeded scrambles with denominators 1-2 of every catalog entry and of
+    # ch6 ⊕ ch6 (dim 12, dense constants after the scramble)
+    rng = random.Random(2718)
+    ch6 = catalog["ch6"].algebra
+    ch6x2 = LieAlgebra.from_brackets(
+        12,
+        {
+            (i + c, j + c): {k + c: v for k, v in enumerate(coeffs) if v}
+            for c in (0, 6)
+            for i, j, coeffs in ch6.structure
+        },
+        one_based=False,
+    )
+    for alg in [entry.algebra for entry in catalog.values()] + [ch6x2]:
+        for _ in range(3):
+            while True:
+                p = Matrix.from_rows(
+                    [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(alg.dim)]
+                     for _ in range(alg.dim)]
+                )
+                if p.det() != 0:
+                    break
+            assert change_of_basis(alg, p) == fraction_change_of_basis(alg, p)
 
 
 def test_change_of_basis_rejects_singular(kt4):

@@ -145,6 +145,7 @@ def test_parse_rejects_boolean_integers():
         ({"dim": True, "brackets": []}, "'dim' must be a positive integer"),
         ({"dim": 3, "brackets": [{"i": True, "j": 2, "out": {"3": "1"}}]}, "must be integers"),
         ({"dim": 3, "brackets": [{"i": 1, "j": True, "out": {"3": "1"}}]}, "must be integers"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": True}}]}, "expected a rational string"),
     ):
         with pytest.raises(AlgebraFileError, match=message):
             parse_algebra_file(json.dumps(doc))
@@ -164,8 +165,18 @@ def test_parse_rejects_duplicate_pairs():
             {"i": 1, "j": 2, "out": {"3": "2"}},
         ],
     }
-    with pytest.raises(AlgebraFileError, match="duplicate"):
-        parse_algebra_file(json.dumps(doc))
+    for text, message in (
+        (json.dumps(doc), "duplicate"),
+        # two spellings of one index, and a literally repeated key, which a
+        # plain dict would collapse to its last value
+        ('{"dim": 3, "brackets": [{"i": 2, "j": 3, "out": {"1": "1", "01": "2"}}]}',
+         r"brackets\[0\]: duplicate output index 1"),
+        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": "0"}},'
+         ' {"i": 2, "j": 3, "out": {"1": "1", "1": "2"}}]}',
+         r"brackets\[1\]: duplicate output index 1"),
+    ):
+        with pytest.raises(AlgebraFileError, match=message):
+            parse_algebra_file(text)
 
 
 # -- round trips --------------------------------------------------------------

@@ -141,6 +141,32 @@ def test_unknown_input_exits_one():
     assert doc["ok"] is False
 
 
+@pytest.mark.parametrize(
+    "make_input,message",
+    [
+        (lambda tmp: tmp, "cannot read input"),  # a directory
+        (lambda tmp: _write(tmp / "latin1.json", '{"dim": 2, "note": "é"}'.encode("latin-1")),
+         "not UTF-8 text"),
+        (lambda tmp: _write(tmp / "utf16.json", '{"dim": 2}'.encode("utf-16")), "not UTF-8 text"),
+    ],
+    ids=["directory", "latin-1", "utf-16"],
+)
+def test_unreadable_input_exits_one_in_band(tmp_path, make_input, message):
+    # an unreadable file takes the same path, but root reads any file, so
+    # that case is not exercised here
+    result = run_cli("-i", str(make_input(tmp_path)), "--cmd", "report")
+    assert result.returncode == 1
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["ok"] is False
+    assert message in doc["errors"][0]
+
+
+def _write(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
 def test_series_without_structure_exits_one():
     result = run_cli("-i", "nn3", "--cmd", "series")
     assert result.returncode == 1

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -396,12 +397,12 @@ def test_image_under_identity(w):
 @given(st.lists(rationals, min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_clear_denominators_preserves_span(entries):
-    from liecs.linalg import clear_denominators
-
-    cleared = clear_denominators(entries)
-    assert all(x.denominator == 1 for x in map(Fraction, cleared))
+    # the Matrix constructor is where rationals become integers: den·row
+    m = Matrix.from_rows([entries])
+    assert m.den > 0 and gcd(m.den, *m.ints) == 1
+    assert m.entries == tuple(entries)
     n = len(entries)
-    assert Subspace.from_rows(n, [entries]) == Subspace.from_rows(n, [cleared])
+    assert Subspace.from_rows(n, [entries]) == Subspace.from_rows(n, [list(m.ints)])
 
 
 # -- packed vectors ------------------------------------------------------------
@@ -487,3 +488,102 @@ def test_product_equals_fraction_product(case):
     product = a @ b
     assert product == fraction_product(a, b)
     assert all(isinstance(x, Fraction) for x in product.entries)
+
+
+# -- the integer Matrix against plain Fraction arithmetic ------------------------
+
+
+def fraction_det(rows) -> Fraction:
+    """Gaussian elimination over ``Fraction`` with row swaps: the oracle for ``det``."""
+    work = [[Fraction(a) for a in r] for r in rows]
+    n = len(work)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, n):
+            factor = work[r][col] / work[col][col]
+            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det
+
+
+def rows_of(m: Matrix) -> list[list[Fraction]]:
+    return [list(r) for r in m.row_list()]
+
+
+def assert_canonical(m: Matrix, rows) -> None:
+    """m has the value ``rows`` and is stored in lowest terms."""
+    assert rows_of(m) == [[Fraction(a) for a in r] for r in rows]
+    assert m.den > 0 and gcd(m.den, *m.ints) == 1
+
+
+def shaped(rows, cols):
+    return st.lists(st.lists(rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+same_shape_pairs = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.tuples(shaped(*shape), shaped(*shape))
+)
+
+
+@given(st.integers(0, 5).flatmap(square))
+@settings(max_examples=80, deadline=None)
+def test_det_equals_fraction_det(rows):
+    m = Matrix.from_rows(rows, cols=len(rows))
+    assert m.det() == fraction_det(rows)
+
+
+@given(st.integers(1, 4).flatmap(square))
+@settings(max_examples=80, deadline=None)
+def test_inverse_equals_fraction_gauss_jordan(rows):
+    n = len(rows)
+    m = Matrix.from_rows(rows)
+    if fraction_det(rows) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+        return
+    augmented = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    assert_canonical(m.inverse(), [r[n:] for r in fraction_rref(augmented, 2 * n)])
+
+
+@given(same_shape_pairs)
+@settings(max_examples=80, deadline=None)
+def test_sum_and_difference_equal_fraction_entrywise(pair):
+    left, right = pair
+    a, b = Matrix.from_rows(left), Matrix.from_rows(right)
+    assert_canonical(a + b, [[x + y for x, y in zip(r, t)] for r, t in zip(left, right)])
+    assert_canonical(a - b, [[x - y for x, y in zip(r, t)] for r, t in zip(left, right)])
+
+
+@given(st.integers(1, 4).flatmap(lambda r: shaped(r, 3)), rationals)
+@settings(max_examples=80, deadline=None)
+def test_scale_and_transpose_equal_fraction_entrywise(rows, c):
+    m = Matrix.from_rows(rows)
+    assert_canonical(m.scale(c), [[c * x for x in r] for r in rows])
+    assert_canonical(m.transpose(), [list(col) for col in zip(*rows)])
+
+
+@given(st.integers(1, 4).flatmap(lambda r: shaped(r, 3)), nonzero_rationals)
+@settings(max_examples=60, deadline=None)
+def test_equal_values_give_equal_matrices_and_hashes(rows, c):
+    m = Matrix.from_rows(rows)
+    back = m.scale(c).scale(1 / c)
+    assert back == m and hash(back) == hash(m)
+    assert (m - m) == Matrix.zero(m.rows, m.cols) and (m - m).den == 1
+
+
+def test_equal_values_give_equal_matrices_and_hashes_literal():
+    half = Matrix.from_rows([[Fraction(1, 2)]])
+    assert half == Matrix.from_rows([[Fraction(2, 4)]]) == Matrix.from_rows([["2/4"]])
+    assert hash(half) == hash(Matrix.from_rows([["2/4"]]))
+    assert (half.ints, half.den) == ((1,), 2)
+    doubled = Matrix.identity(2).scale(2)
+    assert doubled == Matrix.from_rows([[2, 0], [0, 2]])
+    assert hash(doubled) == hash(Matrix.from_rows([[2, 0], [0, 2]]))
+    assert (doubled.ints, doubled.den) == ((2, 0, 0, 2), 1)
+    assert half.scale(2) == Matrix.identity(1) and half.scale(2).den == 1
