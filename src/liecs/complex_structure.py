@@ -33,6 +33,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    image_subspace,
     int_matvec,
     is_positive_definite,
     pack,
@@ -57,11 +58,16 @@ class ComplexStructure:
         return self.matrix.matvec(v)
 
     def image(self, w: Subspace) -> Subspace:
-        """The subspace J(w), mapped by the integer multiple J.ints of J."""
-        if w.ambient_dim != self.matrix.cols:
-            raise ValueError("map width does not match ambient dimension")
-        j_int = self.matrix.ints
-        return Subspace.from_int_rows(w.ambient_dim, [int_matvec(j_int, r) for r in w.rows])
+        """The subspace J(w), computed once per w (``linalg.image_subspace``)."""
+        found = self.images.get(w)
+        if found is None:
+            found = self.images[w] = image_subspace(w, self.matrix)
+        return found
+
+    @cached_property
+    def images(self) -> dict:
+        """J-images by subspace (a memo, see ``image``)."""
+        return {}
 
     @cached_property
     def pair_table(self) -> PairTable:

@@ -14,11 +14,16 @@ disagreement can only come from an implementation bug.
 
 None of the definitions needs J integrable; they read J as a plain linear
 map, and integrability is reported separately.
+
+The containment lattice among the five series and the center bounds are
+the statement tables ``AUDIT`` and ``BOUNDS`` (see ``verdicts.Statement``),
+read by ``containment_audit`` and ``center_dim_bounds``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .algebra import (
     LieAlgebra,
@@ -31,7 +36,7 @@ from .algebra import (
 from .complex_structure import ComplexStructure, largest_j_invariant_subspace
 from .errors import InconsistencyError
 from .linalg import Subspace, contains, int_row_times_matrix, subspace_sum
-from .verdicts import Verdict, checked, not_met
+from .verdicts import Statement, Verdict, evaluate
 
 
 def j_ascending_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
@@ -139,8 +144,84 @@ def nilpotent_step(alg: LieAlgebra, cs: ComplexStructure) -> SeriesReport:
     )
 
 
+def _j_closure(cs: ComplexStructure, w: Subspace) -> Subspace:
+    """w + J w."""
+    return subspace_sum(w, cs.image(w))
+
+
+def _with_n(alg: LieAlgebra, w: Subspace) -> Subspace:
+    """[w, n]."""
+    return bracket_subspaces(alg, w, Subspace.full(alg.dim))
+
+
+def _is_ideal(alg: LieAlgebra, w: Subspace) -> bool:
+    return contains(w, _with_n(alg, w))
+
+
+def _at_every_index(check):
+    """``check(f, c_j, p_j, d_j, p_{j+1})`` for every j up to the last stabilization."""
+
+    def conclusion(f) -> bool:
+        r = f.r
+        span = max(r.c_desc.stabilized_at, r.p_desc.stabilized_at, r.d_desc.stabilized_at)
+        return all(
+            check(f, r.c_desc.term(j), r.p_desc.term(j), r.d_desc.term(j), r.p_desc.term(j + 1))
+            for j in range(span + 1)
+        )
+
+    return conclusion
+
+
+def _nested_chain_with_dual(f) -> bool:
+    """c_j + J c_j ⊆ p_j + J p_j ⊆ d_j ⊆ d^{j0-j} for 0 ≤ j ≤ j0."""
+    r, j0 = f.r, f.r.j0
+    for j in range(j0 + 1):
+        p_cl, d_j = _j_closure(f.cs, r.p_desc.term(j)), r.d_desc.term(j)
+        if not contains(p_cl, _j_closure(f.cs, r.c_desc.term(j))):
+            return False
+        if not (contains(d_j, p_cl) and contains(r.d_asc.term(j0 - j), d_j)):
+            return False
+    return True
+
+
+def _terminal_d_term_central_abelian(f) -> bool:
+    """d_{j0-1} ⊆ d^1 ⊆ z and [d_{j0-1}, d_{j0-1}] = 0."""
+    d_last, d1_up = f.r.d_desc.term(f.r.j0 - 1), f.r.d_asc.term(1)
+    return (
+        contains(d1_up, d_last)
+        and contains(f.r.center, d1_up)
+        and bracket_subspaces(f.alg, d_last, d_last).is_zero()
+    )
+
+
+_NILPOTENT = (lambda f: f.r.j0 is not None, "J is not nilpotent")
+
+# Conclusions checked at every index j, on (c_j, p_j, d_j, p_{j+1}).
+_EVERY_INDEX = {
+    "lower_series_inside_p_chain": lambda f, c, p, d, p1: contains(p, c),
+    "p_chain_inside_d_chain": lambda f, c, p, d, p1: contains(d, p),
+    "j_image_of_p_inside_d_chain": lambda f, c, p, d, p1: contains(d, f.cs.image(p)),
+    "p_plus_jp_is_ideal": lambda f, c, p, d, p1: _is_ideal(f.alg, _j_closure(f.cs, p)),
+    "p_bracket_descends": lambda f, c, p, d, p1: contains(p1, _with_n(f.alg, p)),
+}
+
+AUDIT = (
+    *(Statement(name, (), _at_every_index(check)) for name, check in _EVERY_INDEX.items()),
+    Statement("nested_chain_with_dual", (_NILPOTENT,), _nested_chain_with_dual),
+    Statement("terminal_d_term_central_abelian", (_NILPOTENT,), _terminal_d_term_central_abelian),
+    Statement(
+        "dual_terms_not_nested",
+        (_NILPOTENT,),
+        lambda f: not any(
+            contains(f.r.d_asc.term(j - 1), f.r.d_desc.term(f.r.j0 - j))
+            for j in range(1, f.r.j0 + 1)
+        ),
+    ),
+)
+
+
 def containment_audit(report: SeriesReport) -> list[Verdict]:
-    """Check the containment lattice among the five series.
+    """Check the containment lattice among the five series (``AUDIT``).
 
     For every index j:
 
@@ -153,99 +234,44 @@ def containment_audit(report: SeriesReport) -> list[Verdict]:
       * d_{j0-1} ⊆ d^1 ⊆ z and d_{j0-1} is abelian,
       * d_{j0-j} is not contained in d^{j-1} for 1 ≤ j ≤ j0.
     """
-    alg = report.algebra
-    cs = report.j
-    full = Subspace.full(alg.dim)
-    span = max(
-        report.c_desc.stabilized_at,
-        report.p_desc.stabilized_at,
-        report.d_desc.stabilized_at,
-    )
-    verdicts: list[Verdict] = []
+    return evaluate(AUDIT, SimpleNamespace(alg=report.algebra, cs=report.j, r=report))
 
-    def j_closure(w: Subspace) -> Subspace:
-        return subspace_sum(w, cs.image(w))
 
-    ok_c_p = ok_p_d = ok_jp_d = ok_ideal = ok_step = True
-    for j in range(span + 1):
-        c_j = report.c_desc.term(j)
-        p_j = report.p_desc.term(j)
-        d_j = report.d_desc.term(j)
-        ok_c_p &= contains(p_j, c_j)
-        ok_p_d &= contains(d_j, p_j)
-        ok_jp_d &= contains(d_j, cs.image(p_j))
-        p_ideal = j_closure(p_j)
-        ok_ideal &= contains(p_ideal, bracket_subspaces(alg, p_ideal, full))
-        ok_step &= contains(report.p_desc.term(j + 1), bracket_subspaces(alg, p_j, full))
-    verdicts.append(checked("lower_series_inside_p_chain", ok_c_p))
-    verdicts.append(checked("p_chain_inside_d_chain", ok_p_d))
-    verdicts.append(checked("j_image_of_p_inside_d_chain", ok_jp_d))
-    verdicts.append(checked("p_plus_jp_is_ideal", ok_ideal))
-    verdicts.append(checked("p_bracket_descends", ok_step))
+def _center_bounds(f) -> tuple[bool, str]:
+    alg, r = f.alg, f.r
+    z, d1 = r.center, r.d_asc.term(1)
+    problems = []
+    if not 2 <= z.dim <= alg.dim - 2:
+        problems.append(f"dim z = {z.dim} outside [2, {alg.dim - 2}]")
+    if d1.dim < 2 or d1.dim % 2 != 0:
+        problems.append(f"dim (z ∩ Jz) = {d1.dim} not even and >= 2")
+    if d1 != largest_j_invariant_subspace(f.cs, z):
+        problems.append("d^1 differs from z ∩ Jz")
+    k = nilpotency_step(alg)
+    if k is None:
+        problems.append("algebra is not nilpotent despite nilpotent J")
+    elif not (k <= r.j0 and 2 * r.j0 <= alg.dim):
+        problems.append(f"step bounds violated: k={k}, j0={r.j0}, dim={alg.dim}")
+    if problems:
+        return False, "; ".join(problems)
+    return True, f"dim z = {z.dim} in [2, {alg.dim - 2}], j0 = {r.j0}"
 
-    if report.j0 is None:
-        verdicts.append(not_met("nested_chain_with_dual", "J is not nilpotent"))
-        verdicts.append(not_met("terminal_d_term_central_abelian", "J is not nilpotent"))
-        verdicts.append(not_met("dual_terms_not_nested", "J is not nilpotent"))
-        return verdicts
 
-    j0 = report.j0
-    ok_chain = True
-    for j in range(j0 + 1):
-        c_cl = j_closure(report.c_desc.term(j))
-        p_cl = j_closure(report.p_desc.term(j))
-        d_j = report.d_desc.term(j)
-        dual = report.d_asc.term(j0 - j)
-        ok_chain &= contains(p_cl, c_cl) and contains(d_j, p_cl) and contains(dual, d_j)
-    verdicts.append(checked("nested_chain_with_dual", ok_chain))
-
-    d_last = report.d_desc.term(j0 - 1)
-    z = report.center
-    d1_up = report.d_asc.term(1)
-    ok_terminal = (
-        contains(d1_up, d_last)
-        and contains(z, d1_up)
-        and bracket_subspaces(alg, d_last, d_last).is_zero()
-    )
-    verdicts.append(checked("terminal_d_term_central_abelian", ok_terminal))
-
-    ok_not_nested = all(
-        not contains(report.d_asc.term(j - 1), report.d_desc.term(j0 - j))
-        for j in range(1, j0 + 1)
-    )
-    verdicts.append(checked("dual_terms_not_nested", ok_not_nested))
-    return verdicts
+BOUNDS = (
+    Statement(
+        "center_dimension_bounds",
+        ((lambda f: not f.alg.is_abelian(), "algebra is abelian"), _NILPOTENT),
+        _center_bounds,
+    ),
+)
 
 
 def center_dim_bounds(alg: LieAlgebra, cs: ComplexStructure, report: SeriesReport) -> Verdict:
-    """Dimension bounds forced by a nilpotent J on a non-abelian algebra.
+    """Dimension bounds forced by a nilpotent J on a non-abelian algebra (``BOUNDS``).
 
     Checks 2 ≤ dim z ≤ dim - 2, that d^1 = z ∩ Jz is nonzero and
     even-dimensional, and k ≤ j0 ≤ dim/2 where k is the nilpotency step of
     the algebra.  Reports hypothesis_not_met when J is not nilpotent or
     the algebra is abelian.
     """
-    name = "center_dimension_bounds"
-    if alg.is_abelian():
-        return not_met(name, "algebra is abelian")
-    if report.j0 is None:
-        return not_met(name, "J is not nilpotent")
-    z = report.center
-    d1 = report.d_asc.term(1)
-    problems = []
-    if not 2 <= z.dim <= alg.dim - 2:
-        problems.append(f"dim z = {z.dim} outside [2, {alg.dim - 2}]")
-    if d1.dim < 2 or d1.dim % 2 != 0:
-        problems.append(f"dim (z ∩ Jz) = {d1.dim} not even and >= 2")
-    if d1 != largest_j_invariant_subspace(cs, z):
-        problems.append("d^1 differs from z ∩ Jz")
-    k = nilpotency_step(alg)
-    if k is None:
-        problems.append("algebra is not nilpotent despite nilpotent J")
-    elif not (k <= report.j0 and 2 * report.j0 <= alg.dim):
-        problems.append(f"step bounds violated: k={k}, j0={report.j0}, dim={alg.dim}")
-    if problems:
-        return checked(name, False, "; ".join(problems))
-    return checked(
-        name, True, f"dim z = {z.dim} in [2, {alg.dim - 2}], j0 = {report.j0}"
-    )
+    return evaluate(BOUNDS, SimpleNamespace(alg=alg, cs=cs, r=report))[0]

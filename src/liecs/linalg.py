@@ -447,11 +447,6 @@ class Subspace:
     def basis_rows(self) -> list[Vector]:
         return self.basis.row_list()
 
-    def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        return not any(_reduce(Matrix(1, len(v), v).ints, self.rows, self.pivots))
-
 
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:
     if a.ambient_dim != b.ambient_dim:

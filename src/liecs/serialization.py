@@ -51,6 +51,14 @@ class _JsonObject(dict):
         super().__init__(pairs)
         self.pairs = pairs
 
+    def reject_repeated_keys(self, context: str = "") -> None:
+        """Raise on the first key given twice; a plain dict keeps only its last value."""
+        seen: set[str] = set()
+        for key, _ in self.pairs:
+            if key in seen:
+                raise AlgebraFileError(f"{context}duplicate key {key!r}")
+            seen.add(key)
+
 
 def _parse_rational_field(text, context: str):
     if not isinstance(text, (str, int)) or isinstance(text, bool):
@@ -82,6 +90,7 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
         ) from exc
     if not isinstance(doc, dict):
         raise AlgebraFileError("top-level value must be an object")
+    doc.reject_repeated_keys()
 
     dim = doc.get("dim")
     if not _is_json_int(dim) or dim < 1:
@@ -94,6 +103,7 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
     for idx, item in enumerate(brackets_raw):
         if not isinstance(item, dict):
             raise AlgebraFileError(f"brackets[{idx}] must be an object")
+        item.reject_repeated_keys(f"brackets[{idx}]: ")
         i, j = item.get("i"), item.get("j")
         if not (_is_json_int(i) and _is_json_int(j)):
             raise AlgebraFileError(f"brackets[{idx}]: 'i' and 'j' must be integers")

@@ -13,12 +13,16 @@ J (2 or 3) from it.
 
 ``theorem_suite`` re-checks, on a concrete input, a battery of known
 implications between these notions; a failed verdict therefore signals a
-bug or an invalid input, never new mathematics.
+bug or an invalid input, never new mathematics.  The battery is the table
+``SUITE`` and the two non-existence criteria are ``OBSTRUCTIONS``, both
+tuples of ``verdicts.Statement`` read by ``verdicts.evaluate``; a new
+statement is one more entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .algebra import LieAlgebra, bracket_subspaces, center, nilpotency_step
 from .complex_structure import (
@@ -34,7 +38,7 @@ from .linalg import (
     subspace_intersection,
     subspace_sum,
 )
-from .verdicts import Verdict, checked, not_met
+from .verdicts import Statement, Verdict, evaluate
 
 K_ZERO = "k_zero"
 K_PROPER = "k_proper"
@@ -272,12 +276,14 @@ def classify_step2(
 def blocks_stratification_by_dims(dim: int, descending_dims: tuple[int, ...]) -> bool:
     """Dimension-profile obstruction to admitting any stratification.
 
-    True when dim = 2n, the algebra has step n, and the lower central
-    series dimensions are exactly 2n, 2n-2, ..., 2, 0.  Such a profile is
-    incompatible with a stratification: it would force a two-dimensional
-    first layer, whose self-bracket spans at most one dimension.
+    True when dim = 2n with n ≥ 2, the algebra has step n, and the lower
+    central series dimensions are exactly 2n, 2n-2, ..., 2, 0.  No Lie
+    algebra has this profile: c_1/c_2 is spanned by the classes of [V, V]
+    for a complement V of c_1, and dim V = 2 makes that at most one
+    dimension, not two.  For n = 1 the profile (2, 0) is the abelian
+    plane, which is stratified by one layer.
     """
-    if dim % 2 != 0 or dim == 0:
+    if dim % 2 != 0 or dim < 4:
         return False
     n = dim // 2
     if len(descending_dims) != n + 1 or descending_dims[-1] != 0:
@@ -285,61 +291,170 @@ def blocks_stratification_by_dims(dim: int, descending_dims: tuple[int, ...]) ->
     return all(descending_dims[j] == 2 * n - 2 * j for j in range(n + 1))
 
 
+def _facts(alg: LieAlgebra, s: Stratification | None, **more) -> SimpleNamespace:
+    """What the statements of ``OBSTRUCTIONS`` and ``SUITE`` read."""
+    ok = s is not None and stratification_verdict(alg, s).ok
+    return SimpleNamespace(alg=alg, s=s, strat_ok=ok, **more)
+
+
+OBSTRUCTIONS = (
+    Statement(
+        "no_stratification_exists",
+        ((lambda f: nilpotency_step(f.alg) is not None
+          and blocks_stratification_by_dims(f.alg.dim, f.alg.descending_series.dims()),
+          "dimension profile does not match"),),
+        lambda f: (not f.strat_ok,
+                   f"dimension profile {f.alg.descending_series.dims()} admits no stratification"),
+    ),
+    # n_2 = [n_1, n_1] is spanned by one bracket, and no J preserves an odd-dimensional layer.
+    Statement(
+        "no_strata_preserving_structure",
+        ((lambda f: f.strat_ok, "no valid stratification supplied"),
+         (lambda f: f.s.step >= 2 and f.s.layer(1).dim == 2, "first layer is not 2-dimensional")),
+        lambda f: (f.s.layer(2).dim == 1,
+                   "first layer is 2-dimensional in step >= 2: no strata-preserving J exists"),
+    ),
+)
+
+
 def stratification_obstructions(
     alg: LieAlgebra, s: Stratification | None = None
 ) -> list[Verdict]:
-    """Evaluate the two known non-existence criteria on this input.
+    """Evaluate the two known non-existence criteria (``OBSTRUCTIONS``) on this input.
 
     Returns one verdict per criterion; hypothesis_not_met means the
     criterion's profile does not apply, a pass means the obstruction
     triggered and the stated object cannot exist.
     """
-    verdicts: list[Verdict] = []
-    dims = alg.descending_series.dims()
-    step = nilpotency_step(alg)
-    if step is not None and blocks_stratification_by_dims(alg.dim, dims):
-        verdicts.append(
-            checked(
-                "no_stratification_exists",
-                True,
-                f"dimension profile {dims} admits no stratification",
-            )
-        )
-    else:
-        verdicts.append(
-            not_met("no_stratification_exists", "dimension profile does not match")
-        )
-
-    if s is not None and stratification_verdict(alg, s).ok:
-        if s.step >= 2 and s.layer(1).dim == 2:
-            verdicts.append(
-                checked(
-                    "no_strata_preserving_structure",
-                    True,
-                    "first layer is 2-dimensional in step >= 2: no strata-preserving J exists",
-                )
-            )
-        else:
-            verdicts.append(
-                not_met("no_strata_preserving_structure", "first layer is not 2-dimensional")
-            )
-    else:
-        verdicts.append(
-            not_met("no_strata_preserving_structure", "no valid stratification supplied")
-        )
-    return verdicts
+    return evaluate(OBSTRUCTIONS, _facts(alg, s))
 
 
-def _chains_equal(chain_a, chain_b, span: int) -> bool:
-    return all(chain_a.term(j) == chain_b.term(j) for j in range(span + 1))
+def _lower_series_invariant(f) -> bool:
+    return all(f.cs.image(c) == c for c in f.r.c_desc.terms)
 
 
-def _invariant_stratification_exists(cs: ComplexStructure) -> bool:
+def _invariant_stratification_exists(f) -> bool:
     """Run the step-2 construction; building succeeds iff it self-verifies."""
     try:
-        return is_strata_preserving(cs, cs.step2_stratification)
+        return is_strata_preserving(f.cs, f.cs.step2_stratification)
     except (HypothesisNotMet, InconsistencyError):
         return False
+
+
+def _large_twisted_top(f) -> bool:
+    n2 = f.s.layer(2)
+    l2 = n2.dim // 2
+    return n2.dim % 2 == 0 and l2 >= 2 and f.d1.dim <= 4 * l2 - 2 and f.cs.image(n2) != n2
+
+
+def _third_layer_splits_d2(f) -> tuple[bool, str]:
+    n3 = f.s.layer(3)
+    jn3 = f.cs.image(n3)
+    split = subspace_intersection(n3, jn3).is_zero() and f.r.d_desc.term(2) == subspace_sum(n3, jn3)
+    return f.j0 == 4 and split, f"j0 = {f.j0}"
+
+
+def _j0_is(step: int):
+    return lambda f: (f.j0 == step, f"j0 = {f.j0}")
+
+
+_TWO_DIM_TOP = (lambda f: f.strat_ok and f.s.step == 2 and f.s.layer(2).dim == 2,
+                "needs a step-2 stratification with 2-dimensional top layer")
+
+SUITE = (
+    # All lower central series terms J-invariant => p_j = c_j and j0 = k.
+    Statement(
+        "invariant_lower_series_pins_p_chain",
+        ((lambda f: f.k is not None and _lower_series_invariant(f),
+          "some lower central series term is not J-invariant"),),
+        lambda f: (f.r.c_desc == f.r.p_desc and f.j0 == f.k, f"j0 = {f.j0}, k = {f.k}"),
+    ),
+    # Step-k J with c_{k-1} equal to the center => the center is J-invariant.
+    Statement(
+        "terminal_lower_term_forces_invariant_center",
+        ((lambda f: f.k is not None and f.j0 == f.k and f.r.c_desc.term(f.k - 1) == f.z,
+          "requires nilpotent J of the algebra's step and c_{k-1} = z"),),
+        lambda f: f.cs.image(f.z) == f.z,
+    ),
+    # One-dimensional center => J cannot be nilpotent.
+    Statement(
+        "one_dim_center_forces_non_nilpotent",
+        ((lambda f: f.z.dim == 1, "center is not 1-dimensional"),),
+        lambda f: f.j0 is None,
+    ),
+    # Strata-preserving J on a stratified algebra => series J-invariant, j0 = step.
+    Statement(
+        "strata_preserving_pins_series",
+        ((lambda f: f.strat_ok and is_strata_preserving(f.cs, f.s),
+          "needs a stratification preserved by J"),),
+        lambda f: (_lower_series_invariant(f) and f.j0 == f.s.step, f"j0 = {f.j0}"),
+    ),
+    # Step-2 stratification with 2-dimensional top layer.
+    Statement("two_dim_top_layer_step_two", (_TWO_DIM_TOP,), _j0_is(2)),
+    Statement(
+        "two_dim_top_layer_j_fixes_top",
+        (_TWO_DIM_TOP, (lambda f: f.d1.dim == 2, "z ∩ Jz is not 2-dimensional")),
+        lambda f: f.cs.image(f.s.layer(2)) == f.s.layer(2),
+    ),
+    Statement(
+        "two_dim_top_center_or_strata_preserving",
+        (_TWO_DIM_TOP,),
+        lambda f: f.cs.image(f.s.layer(2)) == f.s.layer(2) or f.cs.image(f.z) == f.z,
+    ),
+    Statement(
+        "two_dim_top_invariant_stratification_exists",
+        (_TWO_DIM_TOP,
+         (lambda f: 2 <= f.z.dim <= 3 or (f.z.dim == 4 and f.cs.image(f.z) != f.z),
+          "center dimension profile out of range")),
+        lambda f: f.cs.image(f.s.layer(2)) == f.s.layer(2) and _invariant_stratification_exists(f),
+    ),
+    # Step-2 stratification with top layer of dimension 2l (l >= 2), small
+    # z ∩ Jz, and J not fixing the top layer => J nilpotent of step 3.
+    Statement(
+        "large_twisted_top_layer_step_three",
+        ((lambda f: f.strat_ok and f.s.step == 2, "needs a step-2 stratification"),
+         (_large_twisted_top, "needs dim n_2 = 2l >= 4, small z ∩ Jz, and J n_2 != n_2")),
+        _j0_is(3),
+    ),
+    # Step-k stratification, J nilpotent of step k, 2-dimensional terminal
+    # layer and 2-dimensional z ∩ Jz => J fixes the terminal layer.
+    Statement(
+        "two_dim_terminal_layer_preserved",
+        ((lambda f: f.strat_ok and f.j0 == f.s.step and f.s.layer(f.s.step).dim == 2
+          and f.d1.dim == 2,
+          "needs nilpotent J of the stratification step with 2-dimensional terminal layer"
+          " and z ∩ Jz"),),
+        lambda f: f.cs.image(f.s.layer(f.s.step)) == f.s.layer(f.s.step),
+    ),
+    # Six-dimensional step-2 algebra with 2-dimensional derived subalgebra
+    # admits a J-invariant stratification.
+    Statement(
+        "six_dim_small_derived_invariant_stratification",
+        ((lambda f: f.alg.dim == 6 and f.k == 2 and f.r.c_desc.term(1).dim == 2,
+          "needs dim 6, step 2, 2-dimensional derived subalgebra"),),
+        lambda f: (f.cs.image(f.r.c_desc.term(1)) == f.r.c_desc.term(1)
+                   and _invariant_stratification_exists(f)),
+    ),
+    # Step-3 stratification with J-fixed third layer => J nilpotent of step 3.
+    Statement(
+        "fixed_third_layer_step_three",
+        ((lambda f: f.strat_ok and f.s.step == 3 and f.cs.image(f.s.layer(3)) == f.s.layer(3),
+          "needs a step-3 stratification with J n_3 = n_3"),),
+        _j0_is(3),
+    ),
+    # Eight-dimensional step-3 stratification with twisted 2-dimensional
+    # third layer and small center => J nilpotent of step 4 and d_2 splits
+    # as n_3 ⊕ J n_3.
+    Statement(
+        "eight_dim_twisted_third_layer_step_four",
+        ((lambda f: f.strat_ok and f.s.step == 3 and f.alg.dim == 8 and f.s.layer(3).dim == 2
+          and f.r.c_desc.term(1).dim == 4 and f.cs.image(f.s.layer(3)) != f.s.layer(3)
+          and f.z.dim <= 3,
+          "needs dim 8, step-3 stratification, dim n_3 = 2, dim [n, n] = 4, J n_3 != n_3,"
+          " dim z <= 3"),),
+        _third_layer_splits_d2,
+    ),
+)
 
 
 def theorem_suite(
@@ -347,197 +462,12 @@ def theorem_suite(
     cs: ComplexStructure,
     s: Stratification | None = None,
 ) -> list[Verdict]:
-    """Assert every applicable statement of the theorem battery.
+    """Assert every applicable statement of the theorem battery (``SUITE``).
 
     Each statement is evaluated three-valued: hypotheses checked exactly,
     conclusion asserted only when they hold.  Statements needing a
     stratification are skipped (hypothesis_not_met) when none is supplied.
     """
-    report = cs.series
-    verdicts: list[Verdict] = []
-    k_alg = report.algebra_step
-    z = report.center
-    c_desc = report.c_desc
-    j0 = report.j0
-
-    strat_ok = s is not None and stratification_verdict(alg, s).ok
-    d1 = report.d_asc.term(1)
-
-    # All lower central series terms J-invariant => p_j = c_j and j0 = k.
-    if k_alg is not None and all(
-        cs.image(c_desc.term(j)) == c_desc.term(j) for j in range(c_desc.stabilized_at + 1)
-    ):
-        span = max(c_desc.stabilized_at, report.p_desc.stabilized_at)
-        ok = _chains_equal(c_desc, report.p_desc, span) and j0 == k_alg
-        verdicts.append(
-            checked("invariant_lower_series_pins_p_chain", ok, f"j0 = {j0}, k = {k_alg}")
-        )
-    else:
-        verdicts.append(
-            not_met(
-                "invariant_lower_series_pins_p_chain",
-                "some lower central series term is not J-invariant",
-            )
-        )
-
-    # Step-k J with c_{k-1} equal to the center => the center is J-invariant.
-    if k_alg is not None and j0 == k_alg and c_desc.term(k_alg - 1) == z:
-        verdicts.append(
-            checked("terminal_lower_term_forces_invariant_center", cs.image(z) == z)
-        )
-    else:
-        verdicts.append(
-            not_met(
-                "terminal_lower_term_forces_invariant_center",
-                "requires nilpotent J of the algebra's step and c_{k-1} = z",
-            )
-        )
-
-    # One-dimensional center => J cannot be nilpotent.
-    if z.dim == 1:
-        verdicts.append(checked("one_dim_center_forces_non_nilpotent", j0 is None))
-    else:
-        verdicts.append(not_met("one_dim_center_forces_non_nilpotent", "center is not 1-dimensional"))
-
-    # Strata-preserving J on a stratified algebra => series J-invariant, j0 = step.
-    if strat_ok and is_strata_preserving(cs, s):
-        ok = (
-            all(
-                cs.image(c_desc.term(j)) == c_desc.term(j)
-                for j in range(c_desc.stabilized_at + 1)
-            )
-            and j0 == s.step
-        )
-        verdicts.append(checked("strata_preserving_pins_series", ok, f"j0 = {j0}"))
-    else:
-        verdicts.append(
-            not_met("strata_preserving_pins_series", "needs a stratification preserved by J")
-        )
-
-    # Step-2 stratification with 2-dimensional top layer.
-    if strat_ok and s.step == 2 and s.layer(2).dim == 2:
-        verdicts.append(checked("two_dim_top_layer_step_two", j0 == 2, f"j0 = {j0}"))
-        if d1.dim == 2:
-            verdicts.append(
-                checked("two_dim_top_layer_j_fixes_top", cs.image(s.layer(2)) == s.layer(2))
-            )
-        else:
-            verdicts.append(
-                not_met("two_dim_top_layer_j_fixes_top", "z ∩ Jz is not 2-dimensional")
-            )
-        preserves = cs.image(s.layer(2)) == s.layer(2) or cs.image(z) == z
-        verdicts.append(checked("two_dim_top_center_or_strata_preserving", preserves))
-        if 2 <= z.dim <= 3 or (z.dim == 4 and cs.image(z) != z):
-            n2 = s.layer(2)
-            ok = cs.image(n2) == n2 and _invariant_stratification_exists(cs)
-            verdicts.append(checked("two_dim_top_invariant_stratification_exists", ok))
-        else:
-            verdicts.append(
-                not_met(
-                    "two_dim_top_invariant_stratification_exists",
-                    "center dimension profile out of range",
-                )
-            )
-    else:
-        for name in (
-            "two_dim_top_layer_step_two",
-            "two_dim_top_layer_j_fixes_top",
-            "two_dim_top_center_or_strata_preserving",
-            "two_dim_top_invariant_stratification_exists",
-        ):
-            verdicts.append(not_met(name, "needs a step-2 stratification with 2-dimensional top layer"))
-
-    # Step-2 stratification with top layer of dimension 2l (l >= 2), small
-    # z ∩ Jz, and J not fixing the top layer => J nilpotent of step 3.
-    if strat_ok and s.step == 2:
-        n2 = s.layer(2)
-        l2 = n2.dim // 2
-        if (
-            n2.dim % 2 == 0
-            and l2 >= 2
-            and d1.dim <= 4 * l2 - 2
-            and cs.image(n2) != n2
-        ):
-            verdicts.append(checked("large_twisted_top_layer_step_three", j0 == 3, f"j0 = {j0}"))
-        else:
-            verdicts.append(
-                not_met(
-                    "large_twisted_top_layer_step_three",
-                    "needs dim n_2 = 2l >= 4, small z ∩ Jz, and J n_2 != n_2",
-                )
-            )
-    else:
-        verdicts.append(
-            not_met("large_twisted_top_layer_step_three", "needs a step-2 stratification")
-        )
-
-    # Step-k stratification, J nilpotent of step k, 2-dimensional terminal
-    # layer and 2-dimensional z ∩ Jz => J fixes the terminal layer.
-    if (
-        strat_ok
-        and j0 == s.step
-        and s.layer(s.step).dim == 2
-        and d1.dim == 2
-    ):
-        top = s.layer(s.step)
-        verdicts.append(checked("two_dim_terminal_layer_preserved", cs.image(top) == top))
-    else:
-        verdicts.append(
-            not_met(
-                "two_dim_terminal_layer_preserved",
-                "needs nilpotent J of the stratification step with 2-dimensional terminal layer and z ∩ Jz",
-            )
-        )
-
-    # Six-dimensional step-2 algebra with 2-dimensional derived subalgebra
-    # admits a J-invariant stratification.
-    if alg.dim == 6 and k_alg == 2 and c_desc.term(1).dim == 2:
-        derived = c_desc.term(1)
-        ok = cs.image(derived) == derived and _invariant_stratification_exists(cs)
-        verdicts.append(checked("six_dim_small_derived_invariant_stratification", ok))
-    else:
-        verdicts.append(
-            not_met(
-                "six_dim_small_derived_invariant_stratification",
-                "needs dim 6, step 2, 2-dimensional derived subalgebra",
-            )
-        )
-
-    # Step-3 stratification with J-fixed third layer => J nilpotent of step 3.
-    if strat_ok and s.step == 3 and cs.image(s.layer(3)) == s.layer(3):
-        verdicts.append(checked("fixed_third_layer_step_three", j0 == 3, f"j0 = {j0}"))
-    else:
-        verdicts.append(
-            not_met("fixed_third_layer_step_three", "needs a step-3 stratification with J n_3 = n_3")
-        )
-
-    # Eight-dimensional step-3 stratification with twisted 2-dimensional
-    # third layer and small center => J nilpotent of step 4 and d_2 splits
-    # as n_3 ⊕ J n_3.
-    if (
-        strat_ok
-        and s.step == 3
-        and alg.dim == 8
-        and s.layer(3).dim == 2
-        and c_desc.term(1).dim == 4
-        and cs.image(s.layer(3)) != s.layer(3)
-        and z.dim <= 3
-    ):
-        n3 = s.layer(3)
-        jn3 = cs.image(n3)
-        split = subspace_sum(n3, jn3)
-        ok = (
-            j0 == 4
-            and subspace_intersection(n3, jn3).is_zero()
-            and report.d_desc.term(2) == split
-        )
-        verdicts.append(checked("eight_dim_twisted_third_layer_step_four", ok, f"j0 = {j0}"))
-    else:
-        verdicts.append(
-            not_met(
-                "eight_dim_twisted_third_layer_step_four",
-                "needs dim 8, step-3 stratification, dim n_3 = 2, dim [n, n] = 4, J n_3 != n_3, dim z <= 3",
-            )
-        )
-
-    return verdicts
+    r = cs.series
+    facts = _facts(alg, s, cs=cs, r=r, j0=r.j0, k=r.algebra_step, z=r.center, d1=r.d_asc.term(1))
+    return evaluate(SUITE, facts)

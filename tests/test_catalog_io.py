@@ -179,6 +179,18 @@ def test_parse_rejects_duplicate_pairs():
             parse_algebra_file(text)
 
 
+def test_parse_rejects_repeated_keys():
+    # a plain dict would keep the last value: the dim-3 algebra [e1, e3] = e2
+    for text, message in (
+        ('{"dim": 2, "dim": 3, "brackets": [{"i": 1, "j": 2, "j": 3, "out": {"2": "1"}}]}',
+         "^duplicate key 'dim'$"),
+        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "j": 3, "out": {"2": "1"}}]}',
+         r"^brackets\[0\]: duplicate key 'j'$"),
+    ):
+        with pytest.raises(AlgebraFileError, match=message):
+            parse_algebra_file(text)
+
+
 # -- round trips --------------------------------------------------------------
 
 

@@ -162,6 +162,36 @@ def test_unreadable_input_exits_one_in_band(tmp_path, make_input, message):
     assert message in doc["errors"][0]
 
 
+def test_repeated_key_exits_one_in_band(tmp_path):
+    path = _write(
+        tmp_path / "repeated.json",
+        b'{"dim": 2, "dim": 3, "brackets": [{"i": 1, "j": 2, "j": 3, "out": {"2": "1"}}]}',
+    )
+    result = run_cli("-i", str(path), "--cmd", "report")
+    assert result.returncode == 1
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["errors"] == ["duplicate key 'dim'"]
+
+
+def test_abelian_plane_report_has_no_false_obstruction(tmp_path):
+    doc = {
+        "dim": 2,
+        "brackets": [],
+        "J": [["0", "-1"], ["1", "0"]],
+        "strata": [[["1", "0"], ["0", "1"]]],
+    }
+    path = _write(tmp_path / "plane.json", json.dumps(doc).encode())
+    result = run_cli("-i", str(path), "--cmd", "report")
+    assert result.returncode == 0, result.stderr
+    verdicts = {v["name"]: v for v in json.loads(result.stdout)["verdicts"]}
+    assert verdicts["no_stratification_exists"] == {
+        "name": "no_stratification_exists",
+        "status": "hypothesis_not_met",
+        "detail": "dimension profile does not match",
+    }
+    assert verdicts["strata_preserving_pins_series"]["status"] == "pass"
+
+
 def _write(path, data: bytes):
     path.write_bytes(data)
     return path

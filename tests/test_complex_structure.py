@@ -581,3 +581,21 @@ def test_largest_invariant_subspace_is_largest(rng):
             assert contains(result, u)
             assert result.dim % 2 == 0
             assert cs.image(result) == result
+
+
+def test_image_equals_image_subspace_and_is_memoized(rng):
+    from liecs import image_subspace
+
+    for name in ("kt4", "ch6", "hh6", "rf8"):
+        # a fresh structure, so no earlier test has filled its memo
+        cs = ComplexStructure(builtin(name).algebra, builtin(name).primary_structure.matrix)
+        n = cs.algebra.dim
+        for _ in range(6):
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            w = Subspace.from_rows(n, rows)
+            got = cs.image(w)
+            assert got == image_subspace(w, cs.matrix)
+            # an equal but distinct subspace object reads the same memo entry
+            assert cs.image(Subspace.from_rows(n, rows)) is got
+        with pytest.raises(ValueError, match="map width does not match ambient dimension"):
+            cs.image(Subspace.full(n + 1))

@@ -237,6 +237,19 @@ def test_dims_profile_obstruction_synthetic():
     assert not blocks_stratification_by_dims(4, (4, 1, 0))  # kt4 profile
     assert not blocks_stratification_by_dims(6, (6, 2, 0))  # ch6 profile
     assert not blocks_stratification_by_dims(4, (4, 2, 1, 0))  # f4 profile
+    # the abelian plane: one layer stratifies it
+    assert not blocks_stratification_by_dims(2, (2, 0))
+
+
+def test_no_stratification_conclusion_fails_on_a_verified_stratification(monkeypatch):
+    # no bracket reaches the blocking profile, so force the hypothesis to
+    # reach the conclusion: it must refute a stratification that verifies
+    monkeypatch.setattr("liecs.stratification.blocks_stratification_by_dims", lambda *_: True)
+    entry = builtin("kt4")
+    with_strat = stratification_obstructions(entry.algebra, entry.primary_stratification)
+    assert with_strat[0].name == "no_stratification_exists"
+    assert with_strat[0].status == FAIL
+    assert stratification_obstructions(entry.algebra)[0].status == PASS
 
 
 def test_obstruction_verdicts_on_kt4():
