@@ -144,6 +144,11 @@ def nilpotent_step(alg: LieAlgebra, cs: ComplexStructure) -> SeriesReport:
     )
 
 
+def _facts(report: SeriesReport) -> SimpleNamespace:
+    """What the statements of ``AUDIT`` and ``BOUNDS`` read: all of it is in ``report``."""
+    return SimpleNamespace(alg=report.algebra, cs=report.j, r=report)
+
+
 def _j_closure(cs: ComplexStructure, w: Subspace) -> Subspace:
     """w + J w."""
     return subspace_sum(w, cs.image(w))
@@ -234,7 +239,7 @@ def containment_audit(report: SeriesReport) -> list[Verdict]:
       * d_{j0-1} ⊆ d^1 ⊆ z and d_{j0-1} is abelian,
       * d_{j0-j} is not contained in d^{j-1} for 1 ≤ j ≤ j0.
     """
-    return evaluate(AUDIT, SimpleNamespace(alg=report.algebra, cs=report.j, r=report))
+    return evaluate(AUDIT, _facts(report))
 
 
 def _center_bounds(f) -> tuple[bool, str]:
@@ -266,7 +271,7 @@ BOUNDS = (
 )
 
 
-def center_dim_bounds(alg: LieAlgebra, cs: ComplexStructure, report: SeriesReport) -> Verdict:
+def center_dim_bounds(report: SeriesReport) -> Verdict:
     """Dimension bounds forced by a nilpotent J on a non-abelian algebra (``BOUNDS``).
 
     Checks 2 ≤ dim z ≤ dim - 2, that d^1 = z ∩ Jz is nonzero and
@@ -274,4 +279,4 @@ def center_dim_bounds(alg: LieAlgebra, cs: ComplexStructure, report: SeriesRepor
     the algebra.  Reports hypothesis_not_met when J is not nilpotent or
     the algebra is abelian.
     """
-    return evaluate(BOUNDS, SimpleNamespace(alg=alg, cs=cs, r=report))[0]
+    return evaluate(BOUNDS, _facts(report))[0]

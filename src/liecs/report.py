@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .algebra import LieAlgebra, ValidationReport
 from .complex_structure import (
@@ -14,7 +14,7 @@ from .complex_structure import (
 from .errors import HypothesisNotMet
 from .j_series import SeriesReport, center_dim_bounds, containment_audit
 from .linalg import format_rational
-from .serialization import chain_to_json, subspace_to_json
+from .serialization import SERIES, chain_to_json, subspace_to_json
 from .stratification import (
     Step2Classification,
     Stratification,
@@ -73,21 +73,7 @@ class FullReport:
         if self.series is not None:
             s = self.series
             doc["series"] = {
-                "classical_descending": chain_to_json(
-                    s.c_desc.dims(), s.c_desc.terms, s.c_desc.stabilized_at
-                ),
-                "classical_ascending": chain_to_json(
-                    s.c_asc.dims(), s.c_asc.terms, s.c_asc.stabilized_at
-                ),
-                "j_ascending": chain_to_json(
-                    s.d_asc.dims(), s.d_asc.terms, s.d_asc.stabilized_at
-                ),
-                "j_descending": chain_to_json(
-                    s.d_desc.dims(), s.d_desc.terms, s.d_desc.stabilized_at
-                ),
-                "p_chain": chain_to_json(
-                    s.p_desc.dims(), s.p_desc.terms, s.p_desc.stabilized_at
-                ),
+                **{key: chain_to_json(getattr(s, attr)) for key, _, attr in SERIES},
                 "j0": s.j0,
                 "route_agreement": s.route_agreement,
                 "algebra_step": s.algebra_step,
@@ -102,10 +88,7 @@ class FullReport:
                 ],
             }
         if self.special is not None:
-            doc["special"] = {
-                "abelian": self.special.abelian,
-                "bi_invariant": self.special.bi_invariant,
-            }
+            doc["special"] = asdict(self.special)
         if self.classification is not None:
             c = self.classification
             doc["classification"] = {
@@ -142,65 +125,40 @@ def build_report(
     """Run the pipeline stages required by ``command``.
 
     Stages nest: validate ⊂ series ⊂ classify ⊂ suite ⊂ report, except
-    that ``suite`` and ``report`` are equal in content.  Commands needing
-    a complex structure error out (in-band) when none is available.
+    that ``suite`` and ``report`` are equal in content; each extends the
+    report of the one before.  Commands needing a complex structure error
+    out (in-band) when none is available.
     """
-    validation = alg.validation
-    base = dict(
-        command=command,
-        source=source,
-        dim=alg.dim,
-        validation=validation,
-        j_name=j_name if cs is not None else None,
-    )
-    if not validation.ok:
-        triple = validation.first_violation.triple
-        return FullReport(
-            **base, errors=(f"Jacobi identity violated at basis triple {triple}",)
-        )
+    j_name = j_name if cs is not None else None
+    report = FullReport(command, source, alg.dim, alg.validation, j_name)
+    if not report.validation.ok:
+        triple = report.validation.first_violation.triple
+        return replace(report, errors=(f"Jacobi identity violated at basis triple {triple}",))
     if command == "validate":
-        return FullReport(**base)
-
+        return report
     if cs is None:
         if command in ("series", "classify", "suite"):
-            return FullReport(
-                **base, errors=("command requires a complex structure, none available",)
-            )
-        return FullReport(**base)  # report: emit what exists
+            return replace(report, errors=("command requires a complex structure, none available",))
+        return report  # report: emit what exists
 
-    series = cs.series
+    report = replace(report, series=cs.series)
     if command == "series":
-        return FullReport(**base, series=series)
+        return report
 
-    integrability = cs.integrability
-    special = classify_special(cs)
-    classification = None
-    skip_reason = None
+    report = replace(report, integrability=cs.integrability, special=classify_special(cs))
     try:
-        classification = classify_step2(alg, cs, strat)
+        report = replace(report, classification=classify_step2(alg, cs, strat))
     except HypothesisNotMet as exc:
-        skip_reason = str(exc)
+        report = replace(report, classification_skip_reason=str(exc))
     if command == "classify":
-        return FullReport(
-            **base,
-            series=series,
-            integrability=integrability,
-            special=special,
-            classification=classification,
-            classification_skip_reason=skip_reason,
-        )
+        return report
 
-    verdicts: list[Verdict] = []
-    verdicts.extend(containment_audit(series))
-    verdicts.append(center_dim_bounds(alg, cs, series))
-    verdicts.extend(stratification_obstructions(alg, strat))
-    verdicts.extend(theorem_suite(alg, cs, strat))
-    return FullReport(
-        **base,
-        series=series,
-        integrability=integrability,
-        special=special,
-        classification=classification,
-        classification_skip_reason=skip_reason,
-        verdicts=tuple(verdicts),
+    return replace(
+        report,
+        verdicts=(
+            *containment_audit(report.series),
+            center_dim_bounds(report.series),
+            *stratification_obstructions(alg, strat),
+            *theorem_suite(alg, cs, strat),
+        ),
     )

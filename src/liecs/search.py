@@ -58,24 +58,18 @@ def _float_tensor(alg: LieAlgebra) -> np.ndarray:
 
 
 def _nijenhuis_residual(c: np.ndarray, j: np.ndarray) -> float:
-    """Sum of squared Nijenhuis values over basis pairs, in floats."""
+    """Sum of squared Nijenhuis values over basis pairs a < b, in floats.
+
+    The float twin of ``ComplexStructure.pair_table``, all pairs at once:
+    ``left[a, b]`` = [Je_a, e_b] and ``both[a, b]`` = [Je_a, Je_b].
+    """
     import numpy as np
 
-    n = j.shape[0]
-    bracket = lambda x, y: np.einsum("ijk,i,j->k", c, x, y)
-    total = 0.0
-    eye = np.eye(n)
-    for a in range(n):
-        ja = j @ eye[a]
-        for b in range(a + 1, n):
-            jb = j @ eye[b]
-            value = (
-                bracket(ja, jb)
-                - bracket(eye[a], eye[b])
-                - j @ (bracket(ja, eye[b]) + bracket(eye[a], jb))
-            )
-            total += float(value @ value)
-    return total
+    left = np.einsum("ia,ijk->ajk", j, c)
+    both = np.einsum("ajk,jb->abk", left, j)
+    values = both - c - (left - left.transpose(1, 0, 2)) @ j.T
+    upper = values[np.triu_indices(j.shape[0], 1)]
+    return float(np.sum(upper * upper))
 
 
 def _random_rational_invertible(rng: random.Random, n: int) -> Matrix:

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, SubspaceChain
 from .complex_structure import ComplexStructure, validate_almost_complex
 from .errors import AlgebraFileError
 from .linalg import Matrix, Subspace, format_rational, parse_rational
@@ -239,12 +239,22 @@ def subspace_to_json(w: Subspace) -> dict:
     return {"dim": w.dim, "basis": [_vector_strings(r) for r in w.basis_rows()]}
 
 
-def chain_to_json(dims: Sequence[int], terms: Sequence[Subspace], stabilized_at: int) -> dict:
+def chain_to_json(chain: SubspaceChain) -> dict:
     return {
-        "dims": list(dims),
-        "stabilized_at": stabilized_at,
-        "terms": [subspace_to_json(t) for t in terms],
+        "dims": list(chain.dims()),
+        "stabilized_at": chain.stabilized_at,
+        "terms": [subspace_to_json(t) for t in chain.terms],
     }
+
+
+# The five series of a report: (report key, markdown label, SeriesReport attribute).
+SERIES = (
+    ("classical_descending", "c_j", "c_desc"),
+    ("classical_ascending", "c^j", "c_asc"),
+    ("j_ascending", "d^j", "d_asc"),
+    ("j_descending", "d_j", "d_desc"),
+    ("p_chain", "p_j", "p_desc"),
+)
 
 
 def serialize_report(report, fmt: str = "json") -> bytes:
@@ -260,15 +270,6 @@ def serialize_report(report, fmt: str = "json") -> bytes:
     if fmt == "markdown":
         return _render_markdown(doc).encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'markdown'")
-
-
-_SERIES_LABELS = [
-    ("classical_descending", "c_j"),
-    ("classical_ascending", "c^j"),
-    ("j_ascending", "d^j"),
-    ("j_descending", "d_j"),
-    ("p_chain", "p_j"),
-]
 
 
 def _render_markdown(doc: Mapping) -> str:
@@ -291,7 +292,7 @@ def _render_markdown(doc: Mapping) -> str:
         lines.append("")
         lines.append("## Series dimensions")
         lines.append("")
-        for key, label in _SERIES_LABELS:
+        for key, label, _ in SERIES:
             chain = series[key]
             dims = " | ".join(str(d) for d in chain["dims"])
             lines.append(f"### {label}")

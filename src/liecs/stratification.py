@@ -229,8 +229,10 @@ def classify_step2(
     """Classify (algebra, J) with algebra nilpotent of step 2.
 
     The case analysis depends only on n_2 = [n, n], which is canonical; a
-    supplied stratification is only validated for consistency (its top
-    layer must be [n, n]).
+    supplied stratification is only validated.  A valid one needs no
+    further check: ``series_match`` at j = k and j = k - 1 gives c_k = 0
+    and c_{k-1} = n_k, and n_k is nonzero, so k is the algebra's step 2
+    and the top layer is c_1 = [n, n].
 
     Integrability is a real hypothesis here, not pedantry: the trichotomy
     uses the vanishing of the Nijenhuis tensor to see that [J n_2, n] is
@@ -246,8 +248,6 @@ def classify_step2(
         verdict = stratification_verdict(alg, s)
         if not verdict.ok:
             raise ValueError(f"supplied stratification is invalid: {verdict.violations}")
-        if s.step != 2 or s.layer(2) != n2:
-            raise ValueError("supplied stratification does not have top layer [n, n]")
     k_sub = largest_j_invariant_subspace(cs, n2)
     if k_sub.is_zero():
         case, predicted = K_ZERO, 2

@@ -237,20 +237,20 @@ def test_audit_p_equals_c_on_bi_invariant_entry():
 def test_center_dim_bounds_catalog():
     kt4 = builtin("kt4")
     rep = nilpotent_step(kt4.algebra, kt4.primary_structure)
-    assert center_dim_bounds(kt4.algebra, kt4.primary_structure, rep).status == PASS
+    assert center_dim_bounds(rep).status == PASS
 
     ch6 = builtin("ch6")
     rep = nilpotent_step(ch6.algebra, ch6.primary_structure)
-    assert center_dim_bounds(ch6.algebra, ch6.primary_structure, rep).status == PASS
+    assert center_dim_bounds(rep).status == PASS
 
     a4 = builtin("a4")
     rep = nilpotent_step(a4.algebra, a4.primary_structure)
-    verdict = center_dim_bounds(a4.algebra, a4.primary_structure, rep)
+    verdict = center_dim_bounds(rep)
     assert verdict.status == HYPOTHESIS_NOT_MET and "abelian" in verdict.detail
 
     f4 = builtin("f4")
     rep = nilpotent_step(f4.algebra, f4.primary_structure)
-    assert center_dim_bounds(f4.algebra, f4.primary_structure, rep).status == HYPOTHESIS_NOT_MET
+    assert center_dim_bounds(rep).status == HYPOTHESIS_NOT_MET
 
 
 # -- equivariance -------------------------------------------------------------

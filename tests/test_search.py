@@ -1,12 +1,14 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import liecs.search as search_module
 from liecs import (
     Matrix,
     builtin,
+    catalog_names,
     change_of_basis,
     find_complex_structure,
     is_integrable,
@@ -91,3 +93,41 @@ def test_import_does_not_load_numpy():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def reference_residual(c, j):
+    """The Nijenhuis residual pair by pair: the oracle for the array expression."""
+    n = j.shape[0]
+    bracket = lambda x, y: np.einsum("ijk,i,j->k", c, x, y)
+    eye = np.eye(n)
+    total = 0.0
+    for a in range(n):
+        for b in range(a + 1, n):
+            ja, jb = j @ eye[a], j @ eye[b]
+            value = (
+                bracket(ja, jb)
+                - bracket(eye[a], eye[b])
+                - j @ (bracket(ja, eye[b]) + bracket(eye[a], jb))
+            )
+            total += float(value @ value)
+    return total
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog_names() if builtin(n).algebra.dim % 2 == 0]
+)
+def test_residual_equals_per_pair_loop(name):
+    entry = builtin(name)
+    n = entry.algebra.dim
+    c = search_module._float_tensor(entry.algebra)
+    j0 = np.array([[float(x) for x in search_module.standard_block_j(n).row(r)] for r in range(n)])
+    gen = np.random.default_rng(sum(map(ord, name)))
+    js = [np.array([[float(x) for x in entry.primary_structure.matrix.row(r)] for r in range(n)])]
+    for _ in range(4):
+        p = gen.normal(size=(n, n))
+        js.append(p @ j0 @ np.linalg.inv(p))  # almost complex
+        js.append(gen.normal(size=(n, n)))  # any matrix: the residual is still defined
+    for j in js:
+        expected = reference_residual(c, j)
+        got = search_module._nijenhuis_residual(c, j)
+        assert abs(got - expected) <= 1e-12 * expected, (name, got, expected)

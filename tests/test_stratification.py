@@ -15,7 +15,7 @@ from liecs import (
     theorem_suite,
     verify_stratification,
 )
-from liecs.linalg import basis_vector
+from liecs.linalg import basis_vector, subspace_sum
 from liecs.verdicts import FAIL, HYPOTHESIS_NOT_MET, PASS
 
 from conftest import conjugate_entry, random_invertible, random_spd
@@ -162,9 +162,61 @@ def test_classify_accepts_consistent_stratification():
 
 def test_classify_rejects_inconsistent_stratification():
     entry = builtin("kt4")
-    bad = Stratification((span(4, 1, 2), span(4, 3, 4)))
-    with pytest.raises(ValueError, match="invalid"):
-        classify_step2(entry.algebra, entry.primary_structure, bad)
+    for bad in (
+        Stratification((span(4, 1, 2), span(4, 3, 4))),
+        Stratification((Subspace.full(4),)),
+    ):
+        with pytest.raises(ValueError, match="supplied stratification is invalid"):
+            classify_step2(entry.algebra, entry.primary_structure, bad)
+
+
+def _random_span(rng, n, count):
+    return Subspace.from_rows(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(count)])
+
+
+def _candidate_stratifications(rng, alg):
+    """Seeded layerings of a step-2 algebra: V ⊕ [n, n] for a random complement V, and near misses."""
+    n = alg.dim
+    top = alg.descending_series.term(1)
+    while True:
+        v = _random_span(rng, n, n - top.dim)
+        if v.dim == n - top.dim and subspace_sum(v, top).is_full():
+            break
+    candidates = [
+        Stratification((v, top)),
+        Stratification((v, _random_span(rng, n, top.dim))),
+        Stratification((top, v)),
+        Stratification((Subspace.full(n),)),
+    ]
+    if top.dim >= 2:
+        first, rest = top.basis_rows()[:1], top.basis_rows()[1:]
+        candidates.append(
+            Stratification((v, Subspace.from_rows(n, first), Subspace.from_rows(n, rest)))
+        )
+        candidates.append(
+            Stratification((subspace_sum(v, Subspace.from_rows(n, first)), Subspace.from_rows(n, rest)))
+        )
+    return candidates
+
+
+@pytest.mark.parametrize("name", ["kt4", "ch6", "hh6", "fr6"])
+def test_verified_stratifications_have_step_two_and_top_layer_c1(name, rng):
+    # what classify_step2 relies on in place of a separate top-layer check
+    entry = builtin(name)
+    inputs = [(entry.algebra, entry.primary_structure, entry.primary_stratification)]
+    inputs += [conjugate_entry(entry, random_invertible(rng, entry.algebra.dim)) for _ in range(2)]
+    for alg, cs, given in inputs:
+        top = alg.descending_series.term(1)
+        verified = 0
+        for s in [given, *_candidate_stratifications(rng, alg)]:
+            if not verify_stratification(alg, s).ok:
+                with pytest.raises(ValueError, match="supplied stratification is invalid"):
+                    classify_step2(alg, cs, s)
+                continue
+            verified += 1
+            assert s.step == 2 and s.layer(2) == top, name
+            assert classify_step2(alg, cs, s) == classify_step2(alg, cs)
+        assert verified >= 2, name
 
 
 def test_classification_invariant_under_conjugation(rng):
