@@ -56,7 +56,6 @@ from .linalg import (
     orthogonal_complement,
     parse_rational,
     rref,
-    solve_membership_kernel,
     subspace_intersection,
     subspace_sum,
 )
@@ -142,7 +141,6 @@ __all__ = [
     "rref",
     "serialize_algebra",
     "serialize_report",
-    "solve_membership_kernel",
     "standard_block_j",
     "stratification_obstructions",
     "subspace_intersection",

@@ -489,22 +489,6 @@ def contains(a: Subspace, b: Subspace) -> bool:
     return b.dim <= a.dim and all(not any(_reduce(v, a.rows, a.pivots)) for v in b.rows)
 
 
-def solve_membership_kernel(conditions: Matrix) -> Subspace:
-    """The solution space ``{x : conditions @ x = 0}`` as a canonical subspace."""
-    return Subspace.from_int_rows(
-        conditions.cols, int_kernel(conditions.int_rows(), conditions.cols)
-    )
-
-
-def membership_conditions(w: Subspace) -> Matrix:
-    """A condition matrix C with ``w = {x : C @ x = 0}``.
-
-    Rows of C span the annihilator of w under the standard dot product;
-    over Q the double annihilator gives back w exactly.
-    """
-    return Subspace.from_int_rows(w.ambient_dim, int_kernel(w.rows, w.ambient_dim)).basis
-
-
 def is_positive_definite(gram: Matrix) -> bool:
     """Symmetric, and every pivot of elimination without row swaps is positive.
 

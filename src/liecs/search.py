@@ -11,7 +11,9 @@ structure, so J² = -I holds identically and the search space is invertible
 matrices P.  Each restart draws a rational P, first checks the conjugated
 structure exactly (this finds e.g. the standard structure immediately),
 then minimizes the squared Nijenhuis norm in floats and tries to snap the
-optimum back to small-denominator rationals.
+optimum back to small-denominator rationals.  numpy and scipy are loaded
+only when a restart first reaches the optimizer, so a search that ends at
+an exact check runs without them.
 """
 
 from __future__ import annotations
@@ -102,6 +104,35 @@ def _snap_matrix(values: np.ndarray, n: int, cap: int) -> Matrix | None:
     return m
 
 
+def _float_optimizer(alg: LieAlgebra, j0: Matrix):
+    """The float machinery of one search: ``P ↦ minimize(residual, P)``.
+
+    Built at most once per call, when a restart first fails its exact
+    check.  ``minimize`` is looked up here, at call time, so a wrapper put
+    on ``scipy.optimize.minimize`` after import is the one that runs.
+    """
+    import numpy as np
+    from scipy.optimize import minimize
+
+    n = alg.dim
+    c_tensor = _float_tensor(alg)
+    j0_float = np.array([[float(x) for x in j0.row(r)] for r in range(n)])
+
+    def residual_from_flat(flat: np.ndarray) -> float:
+        p = flat.reshape(n, n)
+        sign, logdet = np.linalg.slogdet(p)
+        if sign == 0 or logdet < -16.0:
+            return 1e6
+        j = p @ j0_float @ np.linalg.inv(p)
+        return _nijenhuis_residual(c_tensor, j)
+
+    def optimize(p_exact: Matrix):
+        start = np.array([float(x) for x in p_exact.entries])
+        return minimize(residual_from_flat, start, method="BFGS", options={"maxiter": 200})
+
+    return optimize
+
+
 def find_complex_structure(
     alg: LieAlgebra,
     seed: int = 0,
@@ -120,22 +151,10 @@ def find_complex_structure(
     """
     if alg.dim % 2 != 0:
         raise ValueError(f"odd dimension {alg.dim}: no almost-complex structure exists")
-    import numpy as np  # numpy and scipy deferred: keeps CLI start-up light
-    from scipy.optimize import minimize
-
     n = alg.dim
     j0 = standard_block_j(n)
     rng = random.Random(seed)
-    c_tensor = _float_tensor(alg)
-    j0_float = np.array([[float(x) for x in j0.row(r)] for r in range(n)])
-
-    def residual_from_flat(flat: np.ndarray) -> float:
-        p = flat.reshape(n, n)
-        sign, logdet = np.linalg.slogdet(p)
-        if sign == 0 or logdet < -16.0:
-            return 1e6
-        j = p @ j0_float @ np.linalg.inv(p)
-        return _nijenhuis_residual(c_tensor, j)
+    optimize = None
 
     for restart in range(budget):
         p_exact = Matrix.identity(n) if restart == 0 else _random_rational_invertible(rng, n)
@@ -144,8 +163,9 @@ def find_complex_structure(
         if cs is not None:
             return cs
 
-        start = np.array([float(x) for x in p_exact.entries])
-        result = minimize(residual_from_flat, start, method="BFGS", options={"maxiter": 200})
+        if optimize is None:
+            optimize = _float_optimizer(alg, j0)
+        result = optimize(p_exact)
         if result.fun >= threshold:
             continue
         for cap in _snap_caps(den_cap):

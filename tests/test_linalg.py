@@ -11,14 +11,13 @@ from liecs.linalg import (
     contains,
     format_rational,
     image_subspace,
+    int_kernel,
     is_positive_definite,
-    membership_conditions,
     orthogonal_complement,
     pack,
     parse_rational,
     rref,
     slot_width,
-    solve_membership_kernel,
     subspace_intersection,
     subspace_sum,
     unpack,
@@ -191,24 +190,31 @@ def test_ambient_mismatch_raises():
         contains(span(2, [1, 0]), span(3, [1, 0, 0]))
 
 
+def kernel(rows, cols):
+    """``{x : r·x = 0 for every row r}`` as a canonical subspace."""
+    return Subspace.from_int_rows(cols, int_kernel(rows, cols))
+
+
 def test_kernel_of_zero_conditions_is_full():
-    assert solve_membership_kernel(Matrix.zero(0, 3)) == Subspace.full(3)
-    assert solve_membership_kernel(Matrix.zero(2, 3)) == Subspace.full(3)
+    assert kernel([], 3) == Subspace.full(3)
+    assert kernel([[0, 0, 0], [0, 0, 0]], 3) == Subspace.full(3)
 
 
 def test_kernel_of_identity_is_zero():
-    assert solve_membership_kernel(Matrix.identity(3)).is_zero()
+    assert kernel(Matrix.identity(3).int_rows(), 3).is_zero()
 
 
 def test_kernel_single_condition():
-    got = solve_membership_kernel(Matrix.from_rows([[1, 1, 0]]))
+    got = kernel([[1, 1, 0]], 3)
     assert got == span(3, [1, -1, 0], [0, 0, 1])
 
 
 def test_membership_conditions_cut_out_the_subspace():
+    # the rows of int_kernel(w) span the annihilator of w; over Q the
+    # double annihilator gives back w exactly
     w = span(4, [1, 0, 2, 0], [0, 1, 1, 1])
-    conds = membership_conditions(w)
-    assert solve_membership_kernel(conds) == w
+    conds = int_kernel(w.rows, 4)
+    assert kernel(conds, 4) == w
 
 
 # -- orthogonal complement ---------------------------------------------------
