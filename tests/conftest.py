@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from liecs import (
+    CatalogEntry,
     LieAlgebra,
     Matrix,
     Stratification,
+    Subspace,
     builtin,
     catalog_names,
     change_of_basis,
@@ -100,6 +102,43 @@ def conjugate_entry(entry, p: Matrix):
             )
         )
     return alg, cs, strat
+
+
+def direct_sum(entry, copies: int) -> CatalogEntry:
+    """``copies`` copies of a catalog entry, with the block J and the block strata.
+
+    Copy c occupies the basis indices c·n .. c·n + n - 1, n = dim of the
+    entry; the result is named ``{name}x{copies}``.
+    """
+    n = entry.algebra.dim
+    total = n * copies
+    brackets = {
+        (i + c * n, j + c * n): {k + c * n: v for k, v in enumerate(coeffs) if v}
+        for c in range(copies)
+        for i, j, coeffs in entry.algebra.structure
+    }
+    alg = LieAlgebra.from_brackets(total, brackets, one_based=False)
+    block_j = [[0] * total for _ in range(total)]
+    for c in range(copies):
+        for r in range(n):
+            block_j[c * n + r][c * n : (c + 1) * n] = entry.primary_structure.matrix.row(r)
+    layers = tuple(
+        Subspace.from_rows(
+            total,
+            [
+                [0] * (c * n) + list(row) + [0] * ((copies - c - 1) * n)
+                for c in range(copies)
+                for row in layer.basis_rows()
+            ],
+        )
+        for layer in entry.primary_stratification.layers
+    )
+    return CatalogEntry(
+        f"{entry.name}x{copies}",
+        alg,
+        (("block", validate_almost_complex(alg, Matrix.from_rows(block_j))),),
+        (("block", Stratification(layers)),),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
 Every catalog entry runs through ``liecs.cli.main`` with each report
 command, in JSON and in markdown.  One seeded scramble of each nilpotent
-entry is written as an algebra file and run as ``report`` in JSON, which
-covers the file-parse path.  The outputs, the scrambled input files and
+entry, and one of ch6⊕ch6⊕ch6 (dim 18, where packed integer rows are
+widest), is written as an algebra file and run as ``report`` in JSON,
+which covers the file-parse path.  The outputs, the scrambled input files and
 the exit statuses (``exit_status.json``) must equal the files committed
 under ``tests/golden/``.
 
@@ -26,7 +27,7 @@ from pathlib import Path
 from liecs import builtin, catalog_names, serialize_algebra
 from liecs.cli import main
 
-from conftest import conjugate_entry, random_invertible
+from conftest import conjugate_entry, direct_sum, random_invertible
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = ("validate", "series", "classify", "suite", "report")
@@ -39,11 +40,12 @@ def _nilpotent_entries() -> list[str]:
 
 
 def _write_scrambles(workdir: Path) -> list[tuple[str, str]]:
-    """Write one seeded scramble per nilpotent entry; return (name, relative path)."""
+    """Write one seeded scramble per nilpotent entry and of ch6^3; return (name, relative path)."""
     (workdir / "scrambled").mkdir()
     inputs = []
-    for name in _nilpotent_entries():
-        entry = builtin(name)
+    entries = [builtin(name) for name in _nilpotent_entries()]
+    for entry in [*entries, direct_sum(builtin("ch6"), 3)]:
+        name = entry.name
         rng = random.Random(f"golden:{name}")
         p = random_invertible(rng, entry.algebra.dim)
         rel = f"scrambled/{name}.json"
