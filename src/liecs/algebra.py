@@ -9,21 +9,35 @@ algebra.
 Every bracket computation reads one representation, ``LieAlgebra.tensor``:
 the least common denominator D of the structure constants and, for every
 ordered pair (i, j), the sparse integer row of D·[e_i, e_j].  Jacobi
-sums, Nijenhuis values, brackets of subspaces and the ad maps are integer
-contractions of it; Python ints are unbounded, so nothing overflows.  A
-value leaves as a ``Fraction`` only at the API boundary, divided by the
-power of D it carries and by the denominators of the ``linalg.Matrix``
-operands it was computed from (``Matrix.den``).
+sums, Nijenhuis values, brackets of vectors and of subspaces, changes of
+basis and the ascending series are integer contractions of it; Python
+ints are unbounded, so nothing overflows.  A value leaves as a
+``Fraction`` only at the API boundary, divided by the power of D it
+carries and by the denominators of the ``linalg.Matrix`` operands it was
+computed from (``Matrix.den``).
 
-The all-triples and all-pairs kernels (Jacobi here, Nijenhuis and the
-special flags in ``complex_structure``) read the tensor packed: each row
-D·[e_a, e_b] becomes one int Σ c·2^(w·k) (``linalg.pack``), so a
-contraction over the output index is one big-int multiply-add per term
-and "the vector is zero" is "the int is 0".  The slot width w is the bit
-length of a proven bound on every vector that is compared or unpacked,
-plus a sign bit; for the Jacobi sum the bound is 3·n·M², M the largest
-integer constant.  Intermediate sums need no bound: packing is linear and
-exact on any ints.
+Every kernel reads the tensor packed: each row D·[e_a, e_b] becomes one
+int Σ c·2^(w·k) (``linalg.pack``, memoized per width by
+``LieAlgebra.packed_rows``), so a contraction over the output index is
+one big-int multiply-add per term and "the vector is zero" is "the int
+is 0".  The slot width w is the bit length of a proven bound on every
+vector that is compared or unpacked, plus a sign bit, with M the largest
+integer constant:
+
+* Jacobi (``validate``): 3·n·M².
+* The packed bracket kernel ``LieAlgebra.bracket_rows``, D·[u, v] for
+  the row sets us × vs: max‖u‖₁·max‖v‖₁·M.  Each u costs one packed row
+  L_u[j] = D·[u, e_j], each v then nnz(v) multiply-adds and one
+  ``unpack``.  It serves ``bracket``, ``bracket_subspaces``,
+  ``change_of_basis`` and ``complex_structure.nijenhuis``.
+* The centralizer step ``centralizer``, Z(prev) = {x : [x, g] ⊆ prev}:
+  M·max‖c‖₁ over the annihilator rows c of prev, which are packed across
+  their index so that one multiply-add per term of D·[e_m, e_i] gives
+  entry m of the condition c·ad_i for every c at once.  It is the step of
+  the ascending central series here and of the J-series d^j in
+  ``j_series``.
+
+Intermediate sums need no bound: packing is linear and exact on any ints.
 
 Facts derived from an immutable object (its validation, its central
 series, and on a complex structure its integrability and series) are
@@ -32,6 +46,8 @@ object: an equal but distinct object computes them again.  In the same
 way ``bracket_subspaces`` keeps each [a, b] in ``LieAlgebra.bracket_memo``,
 keyed by the unordered pair {a, b}: the five series, the audit and the
 stratification checks ask for [g, g] and the other brackets repeatedly.
+``centralizer`` keeps each Z(prev) in ``LieAlgebra.centralizer_memo``:
+both ascending series start with Z(0), the center.
 """
 
 from __future__ import annotations
@@ -50,11 +66,15 @@ from .linalg import (
     as_rational,
     int_kernel,
     int_matvec,
-    int_row_times_matrix,
     pack,
     slot_width,
     unpack,
 )
+
+
+def _max_norm(rows: Sequence[Sequence[int]]) -> int:
+    """The largest ‖r‖₁ over integer rows (0 when there are none)."""
+    return max((sum(map(abs, r)) for r in rows), default=0)
 
 
 @dataclass(frozen=True)
@@ -127,22 +147,46 @@ class LieAlgebra:
         """The largest |c| over the integer rows of the tensor (0 when abelian)."""
         return max((abs(c) for r in self.tensor[1] for row in r for _, c in row), default=0)
 
+    @cached_property
+    def packed_memo(self) -> dict:
+        """Packed tensors by slot width (a memo, see ``packed_rows``)."""
+        return {}
+
     def packed_rows(self, width: int) -> tuple[tuple[int, ...], ...]:
         """packed[a][b] = D·[e_a, e_b] packed with slot ``width`` (``linalg.pack``)."""
-        return tuple(tuple(pack(row, width) for row in r) for r in self.tensor[1])
+        found = self.packed_memo.get(width)
+        if found is None:
+            found = self.packed_memo[width] = tuple(
+                tuple(pack(row, width) for row in r) for r in self.tensor[1]
+            )
+        return found
 
-    def bracket_int(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
-        """D·[x, y] for integer vectors x and y."""
-        rows = self.tensor[1]
-        out = [0] * self.dim
-        y_support = [(j, b) for j, b in enumerate(y) if b]
-        for i, a in enumerate(x):
-            if a:
-                row = rows[i]
-                for j, b in y_support:
-                    w = a * b
-                    for k, c in row[j]:
-                        out[k] += w * c
+    def bracket_rows(
+        self, us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]] | None = None
+    ) -> list[list[int]]:
+        """D·[u, v] for u in ``us`` and v in ``vs``, u-major.
+
+        With ``vs`` omitted, the pairs (us[k], us[l]) with k < l, in that
+        order.  Every slot of D·[u, v] is within ‖u‖₁·‖v‖₁·M, M the
+        largest integer structure constant, which sets the slot width.
+        Each u costs one packed row L_u[j] = Σ_i u_i·P[i][j] = D·[u, e_j]
+        over the memoized packed tensor P; each v then costs nnz(v)
+        big-int multiply-adds and one ``unpack``.
+        """
+        n = self.dim
+        right = us if vs is None else vs
+        if not us or not right:
+            return []
+        width = slot_width(_max_norm(us) * _max_norm(right) * self.max_entry)
+        packed = self.packed_rows(width)
+        out = []
+        for k, u in enumerate(us):
+            left = [0] * n
+            for i, c in enumerate(u):
+                if c:
+                    left = [a + c * b for a, b in zip(left, packed[i])]
+            for v in right if vs is not None else us[k + 1 :]:
+                out.append(unpack(sum(b * left[j] for j, b in enumerate(v) if b), width, n))
         return out
 
     def bracket_basis(self, i: int, j: int) -> Vector:
@@ -161,17 +205,9 @@ class LieAlgebra:
             raise ValueError("bracket arguments must have length equal to dim")
         xy = Matrix.from_rows([x, y])
         den = self.tensor[0] * xy.den**2
-        return tuple(Fraction(v, den) for v in self.bracket_int(*xy.int_rows()))
-
-    def right_ad(self, i: int) -> list[int]:
-        """The map x -> D·[x, e_i] as an integer matrix, flattened row-major."""
-        n = self.dim
-        rows = self.tensor[1]
-        flat = [0] * (n * n)
-        for m in range(n):
-            for k, c in rows[m][i]:
-                flat[k * n + m] = c
-        return flat
+        x_int, y_int = xy.int_rows()
+        (value,) = self.bracket_rows([x_int], [y_int])
+        return tuple(Fraction(v, den) for v in value)
 
     def is_abelian(self) -> bool:
         return not self.structure
@@ -179,6 +215,11 @@ class LieAlgebra:
     @cached_property
     def bracket_memo(self) -> dict:
         """Brackets of subspaces by unordered pair (a memo, see ``bracket_subspaces``)."""
+        return {}
+
+    @cached_property
+    def centralizer_memo(self) -> dict:
+        """Centralizer steps by subspace (a memo, see ``centralizer``)."""
         return {}
 
     @cached_property
@@ -257,14 +298,20 @@ def bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     is the subspace [a, b].  The generating rows are D·[u, v] for the
     integer canonical rows u, v; positive rescaling cannot change the span.
     [a, b] = [b, a] as subspaces, so the result is memoized on the algebra
-    under the unordered pair.
+    under the unordered pair, the side with fewer rows plays u in
+    ``LieAlgebra.bracket_rows``, and [a, a] takes only the pairs u before v.
     """
     if a.ambient_dim != alg.dim or b.ambient_dim != alg.dim:
         raise ValueError("subspace ambient dimension does not match the algebra")
     key = frozenset((a, b))
     found = alg.bracket_memo.get(key)
     if found is None:
-        rows = [alg.bracket_int(u, v) for u in a.rows for v in b.rows]
+        if a == b:
+            rows = alg.bracket_rows(a.rows)
+        elif a.dim <= b.dim:
+            rows = alg.bracket_rows(a.rows, b.rows)
+        else:
+            rows = alg.bracket_rows(b.rows, a.rows)
         found = alg.bracket_memo[key] = Subspace.from_int_rows(alg.dim, rows)
     return found
 
@@ -311,22 +358,38 @@ def chain_until_stable(first: Subspace, step, cap: int) -> SubspaceChain:
     raise InconsistencyError("chain failed to stabilize within the dimension bound")
 
 
-def ascending_chain(dim: int, maps: Sequence[Sequence[int]]) -> SubspaceChain:
-    """a^0 = 0, a^j = {x : M x ∈ a^{j-1} for every map M in ``maps``}.
+def centralizer(alg: LieAlgebra, prev: Subspace) -> Subspace:
+    """Z(prev) = {x : [x, g] ⊆ prev}, the step of both ascending chains.
 
-    Each map is a dim × dim integer matrix, flattened row-major.  Each step
-    solves the stacked linear conditions C·M x = 0, where the integer rows
-    of C span the annihilator of the previous term.
+    x lies in Z(prev) iff c·D·[x, e_i] = 0 for every basis index i and
+    every integer row c of a basis C of the annihilator of prev.  Entry m
+    of the condition row c·ad_i is Σ_k c_k·D·[e_m, e_i]_k; packing the rows
+    of C across their row index, pc[k] = Σ_r c_r[k]·2^(w·r), makes
+    Σ_{(k,v) ∈ D·[e_m, e_i]} v·pc[k] the packed entry m of every condition
+    at once.  Each slot is within M·max‖c‖₁, M the largest integer
+    structure constant, which sets w.  Both chains start at Z(0), the
+    center, so the step is memoized on the algebra.
     """
-
-    def step(prev: Subspace) -> Subspace:
-        conds = int_kernel(prev.rows, dim)
+    found = alg.centralizer_memo.get(prev)
+    if found is None:
+        n, rows = alg.dim, alg.tensor[1]
+        conds = int_kernel(prev.rows, n)
         if not conds:
-            return Subspace.full(dim)
-        rows = [int_row_times_matrix(c, flat, dim) for flat in maps for c in conds]
-        return Subspace.from_int_rows(dim, int_kernel(rows, dim))
-
-    return chain_until_stable(Subspace.zero(dim), step, dim + 1)
+            return Subspace.full(n)
+        width = slot_width(alg.max_entry * _max_norm(conds))
+        pc = [pack(((r, c[k]) for r, c in enumerate(conds) if c[k]), width) for k in range(n)]
+        zero = [0] * len(conds)
+        conditions = []
+        for i in range(n):
+            columns = [
+                unpack(sum(v * pc[k] for k, v in rows[m][i]), width, len(conds))
+                if rows[m][i]
+                else zero
+                for m in range(n)
+            ]
+            conditions.extend(row for row in zip(*columns) if any(row))
+        found = alg.centralizer_memo[prev] = Subspace.from_int_rows(n, int_kernel(conditions, n))
+    return found
 
 
 def descending_central_series(alg: LieAlgebra) -> SubspaceChain:
@@ -336,8 +399,10 @@ def descending_central_series(alg: LieAlgebra) -> SubspaceChain:
 
 
 def ascending_central_series(alg: LieAlgebra) -> SubspaceChain:
-    """c^0 = 0, c^j = {x : [x, g] ⊆ c^{j-1}}: the ascending chain of the ad maps."""
-    return ascending_chain(alg.dim, [alg.right_ad(i) for i in range(alg.dim)])
+    """c^0 = 0, c^j = Z(c^{j-1}) = {x : [x, g] ⊆ c^{j-1}} (``centralizer``)."""
+    return chain_until_stable(
+        Subspace.zero(alg.dim), lambda prev: centralizer(alg, prev), alg.dim + 1
+    )
 
 
 def center(alg: LieAlgebra) -> Subspace:
@@ -363,12 +428,11 @@ def change_of_basis(alg: LieAlgebra, p: Matrix) -> LieAlgebra:
     if p.rows != n or p.cols != n:
         raise ValueError("change-of-basis matrix size does not match the algebra")
     p_inv = p.inverse()
-    columns = p_inv.transpose().int_rows()
     den = p.den * alg.tensor[0] * p_inv.den**2
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = int_matvec(p.ints, alg.bracket_int(columns[i], columns[j]))
-            if any(value):
-                brackets[(i, j)] = {k: Fraction(v, den) for k, v in enumerate(value) if v}
+    for pair, row in zip(pairs, alg.bracket_rows(p_inv.transpose().int_rows())):
+        value = int_matvec(p.ints, row)
+        if any(value):
+            brackets[pair] = {k: Fraction(v, den) for k, v in enumerate(value) if v}
     return LieAlgebra.from_brackets(n, brackets, one_based=False)

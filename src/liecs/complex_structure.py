@@ -18,7 +18,8 @@ N(e_i, e_j) is then n big-int multiply-adds away, and both flags are
 comparisons of packed ints.  The slot width comes from the bound
 (c² + 2·r·c + q²)·M, c and r the largest column and row sums of |J_int|
 and M the largest integer structure constant; see ``PairTable``.
-``nijenhuis`` on arbitrary vectors uses the integer bracket directly.
+``nijenhuis`` on arbitrary vectors takes its four brackets from one call
+of the packed bracket kernel ``LieAlgebra.bracket_rows``.
 """
 
 from __future__ import annotations
@@ -198,16 +199,15 @@ def nijenhuis(cs: ComplexStructure, x: Sequence[Fraction], y: Sequence[Fraction]
     n = cs.algebra.dim
     if len(x) != n or len(y) != n:
         raise ValueError("nijenhuis arguments must have length equal to dim")
-    b = cs.algebra.bracket_int
     j_int, q = cs.matrix.ints, cs.matrix.den
     xy = Matrix.from_rows([x, y])
     x_int, y_int = xy.int_rows()
     jx, jy = int_matvec(j_int, x_int), int_matvec(j_int, y_int)
-    mixed = int_matvec(j_int, [u + v for u, v in zip(b(jx, y_int), b(x_int, jy))])
+    b_xy, b_x_jy, b_jx_y, b_jx_jy = cs.algebra.bracket_rows([x_int, jx], [y_int, jy])
+    mixed = int_matvec(j_int, [u + v for u, v in zip(b_jx_y, b_x_jy)])
     den = cs.algebra.tensor[0] * q * q * xy.den**2
     return tuple(
-        Fraction(u - q * q * v - w, den)
-        for u, v, w in zip(b(jx, jy), b(x_int, y_int), mixed)
+        Fraction(u - q * q * v - w, den) for u, v, w in zip(b_jx_jy, b_xy, mixed)
     )
 
 

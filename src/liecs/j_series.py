@@ -28,34 +28,29 @@ from types import SimpleNamespace
 from .algebra import (
     LieAlgebra,
     SubspaceChain,
-    ascending_chain,
     bracket_subspaces,
+    centralizer,
     chain_until_stable,
     nilpotency_step,
 )
 from .complex_structure import ComplexStructure, largest_j_invariant_subspace
 from .errors import InconsistencyError
-from .linalg import Subspace, contains, int_row_times_matrix, subspace_sum
+from .linalg import Subspace, contains, subspace_sum
 from .verdicts import Statement, Verdict, evaluate
 
 
 def j_ascending_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
-    """The ascending chain d^j, each term J-invariant by construction.
+    """The ascending chain d^j = Z ∩ J·Z, Z = Z(d^{j-1}) = {x : [x, n] ⊆ d^{j-1}}.
 
-    It is the ascending chain of the maps x -> [x, e_i] and x -> [Jx, e_i]
-    for every basis index i, taken as the integer products D·ad_i and
-    D·ad_i·J_int, J_int = ``J.ints``; the scale factors do not change a kernel.
+    x lies in d^j iff x and Jx lie in Z (``algebra.centralizer``), and
+    {x : Jx ∈ Z} = J⁻¹Z = JZ because J⁻¹ = -J.  So each term is the
+    largest J-invariant subspace of one centralizer step, Z ∩ JZ.
     """
-    n = alg.dim
-    j_int = cs.matrix.ints
-    maps = []
-    for i in range(n):
-        ad = alg.right_ad(i)
-        maps.append(ad)
-        maps.append(
-            [v for r in range(n) for v in int_row_times_matrix(ad[r * n : (r + 1) * n], j_int, n)]
-        )
-    return ascending_chain(n, maps)
+    return chain_until_stable(
+        Subspace.zero(alg.dim),
+        lambda prev: largest_j_invariant_subspace(cs, centralizer(alg, prev)),
+        alg.dim + 1,
+    )
 
 
 def j_descending_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:

@@ -507,7 +507,8 @@ def orthogonal_complement(a: Subspace, gram: Matrix) -> Subspace:
 
     Returns {x : <u, x>_gram = 0 for all u in a}; positive definiteness
     guarantees a ⊕ a^⊥ is the full space.  The conditions read den·gram,
-    a positive multiple, which leaves the kernel unchanged.
+    a positive multiple, which leaves the kernel unchanged; it is
+    symmetric, so the condition u·G equals G·u.
     """
     n = a.ambient_dim
     if gram.rows != n or gram.cols != n:
@@ -518,21 +519,8 @@ def orthogonal_complement(a: Subspace, gram: Matrix) -> Subspace:
         raise ValueError("gram matrix is not positive definite")
     if a.is_zero():
         return Subspace.full(n)
-    conditions = [int_row_times_matrix(row, gram.ints, n) for row in a.rows]
+    conditions = [int_matvec(gram.ints, row) for row in a.rows]
     return Subspace.from_int_rows(n, int_kernel(conditions, n))
-
-
-def int_row_times_matrix(row: Sequence[int], flat: Sequence[int], cols: int) -> list[int]:
-    """Product ``row @ M`` for an integer row and a flattened integer matrix."""
-    out = [0] * cols
-    for k, a in enumerate(row):
-        if a:
-            base = k * cols
-            for j in range(cols):
-                b = flat[base + j]
-                if b:
-                    out[j] += a * b
-    return out
 
 
 def int_matvec(flat: Sequence[int], v: Sequence[int]) -> list[int]:

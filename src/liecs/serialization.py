@@ -10,9 +10,10 @@ One JSON schema carries algebras in and out of the tool:
     }
 
 Indices are 1-based and i < j is enforced; rationals travel as canonical
-strings ("p" or "p/q").  Parsing validates the Jacobi identity, J² = -I
-and the stratification axioms before returning, so a parsed input is
-always a usable one.
+strings ("p" or "p/q").  Parsing rejects any key not shown here, so a
+misspelled key is never read as an absent one.  It validates the Jacobi
+identity, J² = -I and the stratification axioms before returning, so a
+parsed input is always a usable one.
 
 Report serialization is deterministic: canonical rational strings, sorted
 keys, fixed list orders.  Serializing the same report twice yields
@@ -51,12 +52,20 @@ class _JsonObject(dict):
         super().__init__(pairs)
         self.pairs = pairs
 
-    def reject_repeated_keys(self, context: str = "") -> None:
-        """Raise on the first key given twice; a plain dict keeps only its last value."""
+    def check_keys(self, allowed: tuple[str, ...], context: str = "") -> None:
+        """Raise on the first key given twice or not in ``allowed``.
+
+        A plain dict keeps only the last value of a repeated key, and a
+        misspelled key would be read as an absent one.
+        """
         seen: set[str] = set()
         for key, _ in self.pairs:
             if key in seen:
                 raise AlgebraFileError(f"{context}duplicate key {key!r}")
+            if key not in allowed:
+                raise AlgebraFileError(
+                    f"{context}unknown key {key!r} (expected {', '.join(map(repr, allowed))})"
+                )
             seen.add(key)
 
 
@@ -73,8 +82,9 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
     """Parse and validate an interchange file.
 
     Syntax errors carry the line/column from the JSON decoder; semantic
-    errors name the violated invariant (index range, zero denominator,
-    Jacobi triple, J² entry, stratification property and layer).
+    errors name the violated invariant (unknown or repeated key, index
+    range, zero denominator, Jacobi triple, J² entry, stratification
+    property and layer).
     """
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -90,7 +100,7 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
         ) from exc
     if not isinstance(doc, dict):
         raise AlgebraFileError("top-level value must be an object")
-    doc.reject_repeated_keys()
+    doc.check_keys(("dim", "brackets", "J", "strata"))
 
     dim = doc.get("dim")
     if not _is_json_int(dim) or dim < 1:
@@ -103,7 +113,7 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
     for idx, item in enumerate(brackets_raw):
         if not isinstance(item, dict):
             raise AlgebraFileError(f"brackets[{idx}] must be an object")
-        item.reject_repeated_keys(f"brackets[{idx}]: ")
+        item.check_keys(("i", "j", "out"), f"brackets[{idx}]: ")
         i, j = item.get("i"), item.get("j")
         if not (_is_json_int(i) and _is_json_int(j)):
             raise AlgebraFileError(f"brackets[{idx}]: 'i' and 'j' must be integers")

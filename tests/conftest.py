@@ -54,6 +54,55 @@ def fraction_rref(rows, n: int) -> list[tuple[Fraction, ...]]:
     return [tuple(r) for r in out]
 
 
+def fraction_kernel(rows, n: int) -> list[list[Fraction]]:
+    """A basis of {x : r·x = 0 for every row r}, read off ``fraction_rref``."""
+    reduced = fraction_rref(rows, n)
+    pivots = [next(c for c, a in enumerate(r) if a) for r in reduced]
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(n)]
+        for r, c in zip(reduced, pivots):
+            v[c] = -r[free]
+        basis.append(v)
+    return basis
+
+
+def fraction_ascending_chain(alg: LieAlgebra, j: Matrix | None = None) -> list[list[tuple]]:
+    """a^0 = 0, a^k = {x : M x ∈ a^{k-1} for every map M}, on ``Fraction``s.
+
+    The maps are ad_i : x ↦ [x, e_i] for every basis index i and, when a
+    matrix j is given, also ad_i∘J: the stacked-maps definition of c^k
+    (no j) and of d^k.  The bracket is expanded from the structure
+    constants; the terms come back as ``fraction_rref`` rows, up to the
+    first one that repeats.  The oracle for the library's centralizer step.
+    """
+    n = alg.dim
+    ad = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]  # ad[i][k][m] = [e_m, e_i]_k
+    for a, b, coeffs in alg.structure:
+        for k, c in enumerate(coeffs):
+            ad[b][k][a] += c
+            ad[a][k][b] -= c
+    maps = list(ad)
+    if j is not None:
+        maps += [
+            [[sum((m[k][r] * j.at(r, c) for r in range(n)), Fraction(0)) for c in range(n)]
+             for k in range(n)]
+            for m in ad
+        ]
+    terms = [[]]
+    while True:
+        annihilator = fraction_kernel(terms[-1], n)
+        conditions = [
+            [sum((c[k] * m[k][col] for k in range(n)), Fraction(0)) for col in range(n)]
+            for m in maps
+            for c in annihilator
+        ]
+        nxt = fraction_rref(fraction_kernel(conditions, n), n)
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
+
+
 def fraction_change_of_basis(alg: LieAlgebra, p: Matrix) -> LieAlgebra:
     """The bracket in the coordinates y = p @ x, on ``Fraction``s throughout.
 

@@ -24,6 +24,8 @@ from liecs.linalg import basis_vector, vector
 
 from conftest import (
     conjugate_entry,
+    direct_sum,
+    fraction_ascending_chain,
     fraction_change_of_basis,
     fraction_rref,
     random_invertible,
@@ -241,6 +243,51 @@ def test_bracket_subspaces_symmetric_memoized_and_equal_to_dense_oracle(name, rn
             assert bracket_subspaces(LieAlgebra(n, alg.structure), b, a) == ab
             generators = [dense_bracket(alg, u, v) for u in a.basis_rows() for v in b.basis_rows()]
             assert ab.basis_rows() == fraction_rref(generators, n)
+
+
+def test_ascending_series_equals_stacked_maps_oracle(catalog):
+    # seeded scrambles of every catalog entry and of ch6 ⊕ ch6 (dense, dim 12)
+    entries = [*catalog.values(), direct_sum(catalog["ch6"], 2)]
+    for seed, entry in enumerate(entries):
+        p = random_rational_invertible(random.Random(seed), entry.algebra.dim)
+        alg, _, _ = conjugate_entry(entry, p)
+        terms = [t.basis_rows() for t in ascending_central_series(alg).terms]
+        assert terms == fraction_ascending_chain(alg), entry.name
+
+
+# -- slot widths at their bound ----------------------------------------------
+#
+# Each packed kernel sizes its slots from a bound on what it unpacks.  Here
+# the bound is a power of two 2^k and is attained by a positive entry: a slot
+# one bit narrower reads +2^k as -2^k and carries 1 into the next slot.
+
+
+@pytest.mark.parametrize("k", [3, 62])
+def test_packed_bracket_at_its_slot_bound(k):
+    # [e_a, e_b] = 2^k e_0 for a in {1, 2}, b in {3, 4}: with u = e_1 + e_2 and
+    # v = e_3 + e_4, ‖u‖₁·‖v‖₁·max|C| = 4·2^k = [u, v]_0
+    m = 2**k
+    alg = LieAlgebra.from_brackets(
+        5, {(a, b): {0: m} for a in (1, 2) for b in (3, 4)}, one_based=False
+    )
+    assert validate(alg).ok
+    u, v = vector([0, 1, 1, 0, 0]), vector([0, 0, 0, 1, 1])
+    assert alg.bracket(u, v) == vector([4 * m, 0, 0, 0, 0])
+    assert alg.bracket(v, u) == vector([-4 * m, 0, 0, 0, 0])
+    e0 = Subspace.from_rows(5, [basis_vector(5, 0)])
+    assert bracket_subspaces(alg, Subspace.from_rows(5, [u]), Subspace.from_rows(5, [v])) == e0
+
+
+@pytest.mark.parametrize("k", [3, 62])
+def test_centralizer_step_at_its_slot_bound(k):
+    # [e_1, e_3] = 2^k e_0 and [e_2, e_3] = -2^k e_0: the center is
+    # span(e_0, e_1 + e_2), and the condition rows of its step read the
+    # entry +2^k = max|C|·max‖c‖₁ (the conditions of Z(0) are unit rows)
+    m = 2**k
+    alg = LieAlgebra.from_brackets(4, {(1, 3): {0: m}, (2, 3): {0: -m}}, one_based=False)
+    assert validate(alg).ok
+    assert center(alg) == Subspace.from_rows(4, [[1, 0, 0, 0], [0, 1, 1, 0]])
+    assert ascending_central_series(alg).dims() == (0, 2, 4)
 
 
 # -- change of basis ---------------------------------------------------------

@@ -191,6 +191,21 @@ def test_parse_rejects_repeated_keys():
             parse_algebra_file(text)
 
 
+def test_parse_rejects_unknown_keys():
+    # misspelled "J" and "out": read as absent, they would give the abelian
+    # R^3 without J
+    for text, message in (
+        ('{"dim": 3, "brackets": [], "j": [["0", "1"], ["-1", "0"]]}',
+         r"^unknown key 'j' \(expected 'dim', 'brackets', 'J', 'strata'\)$"),
+        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "outs": {"3": "1"}}]}',
+         r"^brackets\[0\]: unknown key 'outs' \(expected 'i', 'j', 'out'\)$"),
+        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "outs": {"3": "1"}}], "j": []}',
+         "^unknown key 'j'"),
+    ):
+        with pytest.raises(AlgebraFileError, match=message):
+            parse_algebra_file(text)
+
+
 # -- round trips --------------------------------------------------------------
 
 

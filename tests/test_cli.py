@@ -173,6 +173,19 @@ def test_repeated_key_exits_one_in_band(tmp_path):
     assert json.loads(result.stdout)["errors"] == ["duplicate key 'dim'"]
 
 
+def test_misspelled_keys_exit_one_in_band(tmp_path):
+    path = _write(
+        tmp_path / "misspelled.json",
+        b'{"dim": 3, "brackets": [{"i": 1, "j": 2, "outs": {"3": "1"}}], "j": []}',
+    )
+    result = run_cli("-i", str(path), "--cmd", "report")
+    assert result.returncode == 1
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["ok"] is False
+    assert doc["errors"] == ["unknown key 'j' (expected 'dim', 'brackets', 'J', 'strata')"]
+
+
 def test_abelian_plane_report_has_no_false_obstruction(tmp_path):
     doc = {
         "dim": 2,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from liecs import (
@@ -18,7 +20,7 @@ from liecs import (
 from liecs.linalg import basis_vector
 from liecs.verdicts import HYPOTHESIS_NOT_MET, PASS
 
-from conftest import conjugate_entry, random_invertible
+from conftest import conjugate_entry, direct_sum, fraction_ascending_chain, random_invertible
 
 
 def span(n, *indices):
@@ -305,3 +307,14 @@ def test_series_transport_under_conjugation(rng):
                 assert dst.dims() == src.dims()
                 for a, b in zip(src.terms, dst.terms):
                     assert image_subspace(a, p) == b
+
+
+def test_j_ascending_series_equals_stacked_maps_oracle(catalog):
+    # d^j from Z ∩ J·Z against the maps ad_i and ad_i∘J, on seeded scrambles
+    # of every catalog entry with a J and of ch6 ⊕ ch6 (dense, dim 12)
+    entries = [e for e in catalog.values() if e.primary_structure is not None]
+    for seed, entry in enumerate([*entries, direct_sum(catalog["ch6"], 2)]):
+        p = random_invertible(random.Random(seed), entry.algebra.dim)
+        alg, cs, _ = conjugate_entry(entry, p)
+        terms = [t.basis_rows() for t in j_ascending_series(alg, cs).terms]
+        assert terms == fraction_ascending_chain(alg, cs.matrix), entry.name
