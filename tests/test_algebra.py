@@ -320,16 +320,7 @@ def test_change_of_basis_equals_fraction_oracle(catalog):
     # seeded scrambles with denominators 1-2 of every catalog entry and of
     # ch6 ⊕ ch6 (dim 12, dense constants after the scramble)
     rng = random.Random(2718)
-    ch6 = catalog["ch6"].algebra
-    ch6x2 = LieAlgebra.from_brackets(
-        12,
-        {
-            (i + c, j + c): {k + c: v for k, v in enumerate(coeffs) if v}
-            for c in (0, 6)
-            for i, j, coeffs in ch6.structure
-        },
-        one_based=False,
-    )
+    ch6x2 = direct_sum(catalog["ch6"], 2).algebra
     for alg in [entry.algebra for entry in catalog.values()] + [ch6x2]:
         for _ in range(3):
             while True:
