@@ -42,19 +42,20 @@ Intermediate sums need no bound: packing is linear and exact on any ints.
 Facts derived from an immutable object (its validation, its central
 series, and on a complex structure its integrability and series) are
 cached on that object and computed at most once.  The cache is per
-object: an equal but distinct object computes them again.  In the same
-way ``bracket_subspaces`` keeps each [a, b] in ``LieAlgebra.bracket_memo``,
-keyed by the unordered pair {a, b}: the five series, the audit and the
-stratification checks ask for [g, g] and the other brackets repeatedly.
-``centralizer`` keeps each Z(prev) in ``LieAlgebra.centralizer_memo``:
-both ascending series start with Z(0), the center.
+object: an equal but distinct object computes them again.  Facts that
+take arguments are cached the same way by one decorator, ``memoized``:
+the packed tensor per slot width, each [a, b] (the five series, the audit
+and the stratification checks ask for [g, g] repeatedly), each
+centralizer step Z(prev) (both ascending series start with Z(0), the
+center), and in other modules each J-image and stratification verdict.
+Public computations such as ``validate`` stay uncached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -70,6 +71,30 @@ from .linalg import (
     slot_width,
     unpack,
 )
+
+
+_MISSING = object()
+
+
+def memoized(fn):
+    """Cache ``fn(obj, *args)`` on ``obj``, once per hashable ``args``.
+
+    The values live in ``obj.__dict__`` under a slot named after ``fn``'s
+    module and qualified name, so each function has its own memo on each
+    object, and an equal but distinct object computes again, as with
+    ``cached_property``.  A call that raises stores nothing.
+    """
+    slot = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def cached(obj, *args):
+        memo = obj.__dict__.setdefault(slot, {})
+        found = memo.get(args, _MISSING)
+        if found is _MISSING:
+            found = memo[args] = fn(obj, *args)
+        return found
+
+    return cached
 
 
 def _max_norm(rows: Sequence[Sequence[int]]) -> int:
@@ -147,19 +172,10 @@ class LieAlgebra:
         """The largest |c| over the integer rows of the tensor (0 when abelian)."""
         return max((abs(c) for r in self.tensor[1] for row in r for _, c in row), default=0)
 
-    @cached_property
-    def packed_memo(self) -> dict:
-        """Packed tensors by slot width (a memo, see ``packed_rows``)."""
-        return {}
-
+    @memoized
     def packed_rows(self, width: int) -> tuple[tuple[int, ...], ...]:
         """packed[a][b] = D·[e_a, e_b] packed with slot ``width`` (``linalg.pack``)."""
-        found = self.packed_memo.get(width)
-        if found is None:
-            found = self.packed_memo[width] = tuple(
-                tuple(pack(row, width) for row in r) for r in self.tensor[1]
-            )
-        return found
+        return tuple(tuple(pack(row, width) for row in r) for r in self.tensor[1])
 
     def bracket_rows(
         self, us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]] | None = None
@@ -211,21 +227,6 @@ class LieAlgebra:
 
     def is_abelian(self) -> bool:
         return not self.structure
-
-    @cached_property
-    def bracket_memo(self) -> dict:
-        """Brackets of subspaces by unordered pair (a memo, see ``bracket_subspaces``)."""
-        return {}
-
-    @cached_property
-    def centralizer_memo(self) -> dict:
-        """Centralizer steps by subspace (a memo, see ``centralizer``)."""
-        return {}
-
-    @cached_property
-    def stratification_verdicts(self) -> dict:
-        """Verdicts of ``verify_stratification`` by stratification (a memo)."""
-        return {}
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -297,23 +298,22 @@ def bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     Bilinearity of the bracket makes basis pairs sufficient, so the result
     is the subspace [a, b].  The generating rows are D·[u, v] for the
     integer canonical rows u, v; positive rescaling cannot change the span.
-    [a, b] = [b, a] as subspaces, so the result is memoized on the algebra
-    under the unordered pair, the side with fewer rows plays u in
-    ``LieAlgebra.bracket_rows``, and [a, a] takes only the pairs u before v.
+    [a, b] = [b, a] as subspaces, so the pair is ordered by (dim, rows)
+    before it reaches the memo (``memoized``): both orders share one entry,
+    and the side with fewer rows plays u in ``LieAlgebra.bracket_rows``.
     """
     if a.ambient_dim != alg.dim or b.ambient_dim != alg.dim:
         raise ValueError("subspace ambient dimension does not match the algebra")
-    key = frozenset((a, b))
-    found = alg.bracket_memo.get(key)
-    if found is None:
-        if a == b:
-            rows = alg.bracket_rows(a.rows)
-        elif a.dim <= b.dim:
-            rows = alg.bracket_rows(a.rows, b.rows)
-        else:
-            rows = alg.bracket_rows(b.rows, a.rows)
-        found = alg.bracket_memo[key] = Subspace.from_int_rows(alg.dim, rows)
-    return found
+    if (a.dim, a.rows) > (b.dim, b.rows):
+        a, b = b, a
+    return _bracket_subspaces(alg, a, b)
+
+
+@memoized
+def _bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
+    """[a, b] for an ordered pair; [a, a] takes only the pairs u before v."""
+    rows = alg.bracket_rows(a.rows) if a == b else alg.bracket_rows(a.rows, b.rows)
+    return Subspace.from_int_rows(alg.dim, rows)
 
 
 @dataclass(frozen=True)
@@ -343,14 +343,14 @@ class SubspaceChain:
         return self.stabilized_at if self.terms[-1].is_full() else None
 
 
-def chain_until_stable(first: Subspace, step, cap: int) -> SubspaceChain:
+def chain_until_stable(first: Subspace, step) -> SubspaceChain:
     """Apply ``step`` from ``first`` until two consecutive terms agree.
 
     Monotone chains in dimension n stabilize within n steps; running past
-    ``cap`` iterations therefore signals a broken step function.
+    n + 1 iterations therefore signals a broken step function.
     """
     terms = [first]
-    for _ in range(cap):
+    for _ in range(first.ambient_dim + 1):
         nxt = step(terms[-1])
         if nxt == terms[-1]:
             return SubspaceChain(tuple(terms), len(terms) - 1)
@@ -358,6 +358,7 @@ def chain_until_stable(first: Subspace, step, cap: int) -> SubspaceChain:
     raise InconsistencyError("chain failed to stabilize within the dimension bound")
 
 
+@memoized
 def centralizer(alg: LieAlgebra, prev: Subspace) -> Subspace:
     """Z(prev) = {x : [x, g] ⊆ prev}, the step of both ascending chains.
 
@@ -368,41 +369,36 @@ def centralizer(alg: LieAlgebra, prev: Subspace) -> Subspace:
     Σ_{(k,v) ∈ D·[e_m, e_i]} v·pc[k] the packed entry m of every condition
     at once.  Each slot is within M·max‖c‖₁, M the largest integer
     structure constant, which sets w.  Both chains start at Z(0), the
-    center, so the step is memoized on the algebra.
+    center, so the step is memoized on the algebra (``memoized``).
     """
-    found = alg.centralizer_memo.get(prev)
-    if found is None:
-        n, rows = alg.dim, alg.tensor[1]
-        conds = int_kernel(prev.rows, n)
-        if not conds:
-            return Subspace.full(n)
-        width = slot_width(alg.max_entry * _max_norm(conds))
-        pc = [pack(((r, c[k]) for r, c in enumerate(conds) if c[k]), width) for k in range(n)]
-        zero = [0] * len(conds)
-        conditions = []
-        for i in range(n):
-            columns = [
-                unpack(sum(v * pc[k] for k, v in rows[m][i]), width, len(conds))
-                if rows[m][i]
-                else zero
-                for m in range(n)
-            ]
-            conditions.extend(row for row in zip(*columns) if any(row))
-        found = alg.centralizer_memo[prev] = Subspace.from_int_rows(n, int_kernel(conditions, n))
-    return found
+    n, rows = alg.dim, alg.tensor[1]
+    conds = int_kernel(prev.rows, n)
+    if not conds:
+        return Subspace.full(n)
+    width = slot_width(alg.max_entry * _max_norm(conds))
+    pc = [pack(((r, c[k]) for r, c in enumerate(conds) if c[k]), width) for k in range(n)]
+    zero = [0] * len(conds)
+    conditions = []
+    for i in range(n):
+        columns = [
+            unpack(sum(v * pc[k] for k, v in rows[m][i]), width, len(conds))
+            if rows[m][i]
+            else zero
+            for m in range(n)
+        ]
+        conditions.extend(row for row in zip(*columns) if any(row))
+    return Subspace.from_int_rows(n, int_kernel(conditions, n))
 
 
 def descending_central_series(alg: LieAlgebra) -> SubspaceChain:
     """c_0 = g, c_j = [g, c_{j-1}], computed until stabilization."""
     full = Subspace.full(alg.dim)
-    return chain_until_stable(full, lambda prev: bracket_subspaces(alg, full, prev), alg.dim + 1)
+    return chain_until_stable(full, lambda prev: bracket_subspaces(alg, full, prev))
 
 
 def ascending_central_series(alg: LieAlgebra) -> SubspaceChain:
     """c^0 = 0, c^j = Z(c^{j-1}) = {x : [x, g] ⊆ c^{j-1}} (``centralizer``)."""
-    return chain_until_stable(
-        Subspace.zero(alg.dim), lambda prev: centralizer(alg, prev), alg.dim + 1
-    )
+    return chain_until_stable(Subspace.zero(alg.dim), lambda prev: centralizer(alg, prev))
 
 
 def center(alg: LieAlgebra) -> Subspace:

@@ -107,11 +107,11 @@ class _SearchOutcome:
 
 def _load_input(raw: str):
     path = Path(raw)
-    if path.exists():
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise AlgebraFileError(f"cannot read input {raw!r}: {exc.strerror or exc}") from exc
+    try:
+        data = path.read_bytes() if path.exists() else None
+    except OSError as exc:  # also a name the OS refuses, e.g. one too long
+        raise AlgebraFileError(f"cannot read input {raw!r}: {exc.strerror or exc}") from exc
+    if data is not None:
         parsed = parse_algebra_file(data)
         return (
             str(raw),

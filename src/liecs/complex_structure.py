@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, memoized
 from .linalg import (
     Matrix,
     Subspace,
@@ -58,17 +58,10 @@ class ComplexStructure:
     def apply(self, v: Sequence[Fraction]) -> Vector:
         return self.matrix.matvec(v)
 
+    @memoized
     def image(self, w: Subspace) -> Subspace:
         """The subspace J(w), computed once per w (``linalg.image_subspace``)."""
-        found = self.images.get(w)
-        if found is None:
-            found = self.images[w] = image_subspace(w, self.matrix)
-        return found
-
-    @cached_property
-    def images(self) -> dict:
-        """J-images by subspace (a memo, see ``image``)."""
-        return {}
+        return image_subspace(w, self.matrix)
 
     @cached_property
     def pair_table(self) -> PairTable:

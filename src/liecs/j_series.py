@@ -49,7 +49,6 @@ def j_ascending_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
     return chain_until_stable(
         Subspace.zero(alg.dim),
         lambda prev: largest_j_invariant_subspace(cs, centralizer(alg, prev)),
-        alg.dim + 1,
     )
 
 
@@ -61,7 +60,7 @@ def j_descending_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
         derived = bracket_subspaces(alg, prev, full)
         return subspace_sum(derived, cs.image(derived))
 
-    return chain_until_stable(full, step, alg.dim + 1)
+    return chain_until_stable(full, step)
 
 
 def p_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
@@ -74,7 +73,7 @@ def p_series(alg: LieAlgebra, cs: ComplexStructure) -> SubspaceChain:
             bracket_subspaces(alg, cs.image(prev), full),
         )
 
-    return chain_until_stable(full, step, alg.dim + 1)
+    return chain_until_stable(full, step)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ No floating point enters this module.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,25 +33,27 @@ Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 _MINUS_SIGNS = "−–"  # unicode minus / en-dash, normalized on input
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` into a reduced rational.
 
-    A leading minus sign may be ASCII ``-`` or unicode minus.  A zero
-    denominator is rejected.
+    p and q are ASCII digits, p with an optional sign and q > 0.  Outer
+    whitespace is ignored, and a minus sign may be ASCII ``-`` or unicode
+    minus.  Anything else, such as ``"1/-2"``, ``"1_000"`` or ``"3 / 4"``,
+    is rejected.
     """
     s = text.strip()
     for sign in _MINUS_SIGNS:
         s = s.replace(sign, "-")
-    if "/" in s:
-        num_text, _, den_text = s.partition("/")
-        num = int(num_text)
-        den = int(den_text)
-        if den == 0:
-            raise ValueError(f"zero denominator in rational {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(s))
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise ValueError(f"not a rational 'p' or 'p/q': {text!r}")
+    den = int(match[2] or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in rational {text!r}")
+    return Fraction(int(match[1]), den)
 
 
 def format_rational(q: Fraction) -> str:

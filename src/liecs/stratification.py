@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .algebra import LieAlgebra, bracket_subspaces, center, nilpotency_step
+from .algebra import LieAlgebra, bracket_subspaces, center, memoized, nilpotency_step
 from .complex_structure import (
     ComplexStructure,
     j_invariant_inner_product,
@@ -159,17 +159,15 @@ def verify_stratification(alg: LieAlgebra, s: Stratification) -> StratificationV
     return StratificationVerdict(ok=not violations, violations=tuple(violations))
 
 
+@memoized
 def stratification_verdict(alg: LieAlgebra, s: Stratification) -> StratificationVerdict:
     """``verify_stratification(alg, s)``, computed once per (algebra, stratification).
 
-    The verdict is memoized on the algebra, keyed by the frozen
-    stratification, so the parse gate, the step-2 classification, the
-    obstructions and the theorem suite share one check.
+    The verdict is memoized on the algebra (``algebra.memoized``), keyed by
+    the frozen stratification, so the parse gate, the step-2
+    classification, the obstructions and the theorem suite share one check.
     """
-    verdicts = alg.stratification_verdicts
-    if s not in verdicts:
-        verdicts[s] = verify_stratification(alg, s)
-    return verdicts[s]
+    return verify_stratification(alg, s)
 
 
 def is_strata_preserving(cs: ComplexStructure, s: Stratification) -> bool:

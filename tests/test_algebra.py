@@ -18,9 +18,12 @@ from liecs import (
     descending_central_series,
     image_subspace,
     nilpotency_step,
+    stratification,
     validate,
 )
+from liecs.algebra import centralizer, memoized
 from liecs.linalg import basis_vector, vector
+from liecs.stratification import verify_stratification
 
 from conftest import (
     conjugate_entry,
@@ -253,6 +256,65 @@ def test_ascending_series_equals_stacked_maps_oracle(catalog):
         alg, _, _ = conjugate_entry(entry, p)
         terms = [t.basis_rows() for t in ascending_central_series(alg).terms]
         assert terms == fraction_ascending_chain(alg), entry.name
+
+
+# -- the per-object memo -----------------------------------------------------
+
+
+def test_memoized_keeps_one_memo_per_function():
+    class Box:
+        pass
+
+    @memoized
+    def first(obj, x):
+        return ("first", x)
+
+    @memoized
+    def second(obj, x):
+        return ("second", x)
+
+    box = Box()
+    assert first(box, 1) == ("first", 1)
+    assert second(box, 1) == ("second", 1)
+
+
+def test_centralizer_is_memoized_per_object(kt4):
+    step = centralizer(kt4, Subspace.zero(4))
+    # an equal but distinct argument reads the same entry
+    assert centralizer(kt4, Subspace.zero(4)) is step
+    # an equal but distinct algebra computes again
+    fresh = centralizer(LieAlgebra(kt4.dim, kt4.structure), Subspace.zero(4))
+    assert fresh == step and fresh is not step
+
+
+def test_packed_rows_is_memoized_per_width(kt4):
+    assert kt4.packed_rows(8) is kt4.packed_rows(8)
+    assert kt4.packed_rows(9) is not kt4.packed_rows(8)
+
+
+def test_a_call_that_raises_stores_nothing(kt4):
+    cs = builtin("kt4").primary_structure
+    wide = Subspace.full(6)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="map width"):
+            cs.image(wide)
+        with pytest.raises(ValueError, match="ambient dimension"):
+            bracket_subspaces(kt4, wide, wide)
+
+
+def test_stratification_verdict_verifies_once(monkeypatch):
+    entry = builtin("kt4")
+    alg, strat = entry.algebra, entry.primary_stratification
+    calls = []
+
+    def counting(alg, s):
+        calls.append(s)
+        return verify_stratification(alg, s)
+
+    monkeypatch.setattr(stratification, "verify_stratification", counting)
+    first = stratification.stratification_verdict(alg, strat)
+    assert stratification.stratification_verdict(alg, strat) is first
+    assert first.ok and calls == [strat]
 
 
 # -- slot widths at their bound ----------------------------------------------

@@ -104,9 +104,11 @@ def test_parse_syntax_error_carries_position():
 
 
 def test_parse_rejects_zero_denominator():
-    doc = {"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"1": "1/0"}}]}
-    with pytest.raises(AlgebraFileError, match="zero denominator"):
-        parse_algebra_file(json.dumps(doc))
+    # a negative denominator is outside the "p/q" grammar as well
+    for value, message in (("1/0", "zero denominator"), ("1/-2", "not a rational")):
+        doc = {"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"1": value}}]}
+        with pytest.raises(AlgebraFileError, match=message):
+            parse_algebra_file(json.dumps(doc))
 
 
 def test_parse_rejects_jacobi_violation_with_triple():

@@ -148,8 +148,9 @@ def test_unknown_input_exits_one():
         (lambda tmp: _write(tmp / "latin1.json", '{"dim": 2, "note": "é"}'.encode("latin-1")),
          "not UTF-8 text"),
         (lambda tmp: _write(tmp / "utf16.json", '{"dim": 2}'.encode("utf-16")), "not UTF-8 text"),
+        (lambda tmp: tmp / ("a" * 5000), "cannot read input"),  # a name the OS refuses
     ],
-    ids=["directory", "latin-1", "utf-16"],
+    ids=["directory", "latin-1", "utf-16", "name-too-long"],
 )
 def test_unreadable_input_exits_one_in_band(tmp_path, make_input, message):
     # an unreadable file takes the same path, but root reads any file, so

@@ -289,7 +289,7 @@ def test_chain_stabilization_cap_is_a_hard_failure():
 
     flip = [Subspace.zero(2), Subspace.full(2)]
     with pytest.raises(InconsistencyError, match="stabilize"):
-        chain_until_stable(flip[0], lambda prev: flip[prev.dim == 0], cap=3)
+        chain_until_stable(flip[0], lambda prev: flip[prev.dim == 0])
 
 
 def test_series_transport_under_conjugation(rng):

@@ -43,9 +43,20 @@ def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
-def test_parse_rational_rejects_zero_denominator():
-    with pytest.raises(ValueError, match="zero denominator"):
-        parse_rational("1/0")
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1/0", "zero denominator"),
+        ("1/-2", "not a rational"),
+        ("1_000", "not a rational"),
+        ("3 / 4", "not a rational"),
+        ("\u0663", "not a rational"),  # ARABIC-INDIC DIGIT THREE
+    ],
+    ids=["zero-denominator", "negative-denominator", "underscore", "inner-spaces", "non-ascii-digit"],
+)
+def test_parse_rational_rejects(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_rational(text)
 
 
 @pytest.mark.parametrize("q,s", [(Fraction(3), "3"), (Fraction(-1, 2), "-1/2")])
