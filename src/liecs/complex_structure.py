@@ -76,7 +76,7 @@ class ComplexStructure:
     def series(self) -> SeriesReport:
         from .j_series import nilpotent_step
 
-        return nilpotent_step(self.algebra, self)
+        return nilpotent_step(self)
 
     @cached_property
     def step2_stratification(self) -> Stratification:
@@ -87,9 +87,7 @@ class ComplexStructure:
         """
         from .stratification import build_step2_j_stratification
 
-        return build_step2_j_stratification(
-            self.algebra, self, Matrix.identity(self.algebra.dim)
-        )
+        return build_step2_j_stratification(self, Matrix.identity(self.algebra.dim))
 
 
 def validate_almost_complex(alg: LieAlgebra, j: Matrix) -> ComplexStructure:

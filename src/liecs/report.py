@@ -127,8 +127,12 @@ def build_report(
     Stages nest: validate ⊂ series ⊂ classify ⊂ suite ⊂ report, except
     that ``suite`` and ``report`` are equal in content; each extends the
     report of the one before.  Commands needing a complex structure error
-    out (in-band) when none is available.
+    out (in-band) when none is available.  ``alg`` is needed when there is
+    no ``cs``; when there is, ``cs`` must be bound to ``alg`` (ValueError
+    otherwise).
     """
+    if cs is not None and cs.algebra != alg:
+        raise ValueError("the complex structure is bound to a different algebra")
     j_name = j_name if cs is not None else None
     report = FullReport(command, source, alg.dim, alg.validation, j_name)
     if not report.validation.ok:
@@ -147,7 +151,7 @@ def build_report(
 
     report = replace(report, integrability=cs.integrability, special=classify_special(cs))
     try:
-        report = replace(report, classification=classify_step2(alg, cs, strat))
+        report = replace(report, classification=classify_step2(cs, strat))
     except HypothesisNotMet as exc:
         report = replace(report, classification_skip_reason=str(exc))
     if command == "classify":
@@ -159,6 +163,6 @@ def build_report(
             *containment_audit(report.series),
             center_dim_bounds(report.series),
             *stratification_obstructions(alg, strat),
-            *theorem_suite(alg, cs, strat),
+            *theorem_suite(cs, strat),
         ),
     )

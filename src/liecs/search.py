@@ -149,8 +149,6 @@ def find_complex_structure(
     outcomes, not errors.  Raises ValueError on odd dimension, where no
     almost-complex structure exists at all.
     """
-    if alg.dim % 2 != 0:
-        raise ValueError(f"odd dimension {alg.dim}: no almost-complex structure exists")
     n = alg.dim
     j0 = standard_block_j(n)
     rng = random.Random(seed)

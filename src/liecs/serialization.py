@@ -98,6 +98,8 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
             line=exc.lineno,
             column=exc.colno,
         ) from exc
+    except RecursionError:
+        raise AlgebraFileError("input nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise AlgebraFileError("top-level value must be an object")
     doc.check_keys(("dim", "brackets", "J", "strata"))
@@ -128,12 +130,9 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
             raise AlgebraFileError(f"brackets[{idx}]: 'out' must be an object")
         coeffs: dict[int, object] = {}
         for key, value in out.pairs:
-            try:
-                k = int(key)
-            except (TypeError, ValueError):
-                raise AlgebraFileError(
-                    f"brackets[{idx}]: output index {key!r} is not an integer"
-                ) from None
+            if not (key.isascii() and key.isdigit()):
+                raise AlgebraFileError(f"brackets[{idx}]: output index {key!r} is not an integer")
+            k = int(key)
             if not 1 <= k <= dim:
                 raise AlgebraFileError(
                     f"brackets[{idx}]: output index {k} out of range 1..{dim}"

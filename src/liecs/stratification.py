@@ -175,9 +175,7 @@ def is_strata_preserving(cs: ComplexStructure, s: Stratification) -> bool:
     return all(cs.image(layer) == layer for layer in s.layers)
 
 
-def build_step2_j_stratification(
-    alg: LieAlgebra, cs: ComplexStructure, phi: Matrix
-) -> Stratification:
+def build_step2_j_stratification(cs: ComplexStructure, phi: Matrix) -> Stratification:
     """J-invariant stratification of a step-2 algebra.
 
     Takes n_2 = [n, n] and n_1 = the orthogonal complement of n_2 under
@@ -185,6 +183,7 @@ def build_step2_j_stratification(
     and [n, n] to be J-invariant; under those hypotheses the output always
     verifies and J preserves both layers (checked before returning).
     """
+    alg = cs.algebra
     step = nilpotency_step(alg)
     if step != 2:
         raise HypothesisNotMet(f"algebra is not nilpotent of step 2 (step is {step})")
@@ -219,12 +218,8 @@ class Step2Classification:
     center_preserving: bool
 
 
-def classify_step2(
-    alg: LieAlgebra,
-    cs: ComplexStructure,
-    s: Stratification | None = None,
-) -> Step2Classification:
-    """Classify (algebra, J) with algebra nilpotent of step 2.
+def classify_step2(cs: ComplexStructure, s: Stratification | None = None) -> Step2Classification:
+    """Classify J on its algebra, which must be nilpotent of step 2.
 
     The case analysis depends only on n_2 = [n, n], which is canonical; a
     supplied stratification is only validated.  A valid one needs no
@@ -236,6 +231,7 @@ def classify_step2(
     uses the vanishing of the Nijenhuis tensor to see that [J n_2, n] is
     J-invariant, and the prediction can fail for a non-integrable J.
     """
+    alg = cs.algebra
     step = nilpotency_step(alg)
     if step != 2:
         raise HypothesisNotMet(f"algebra is not nilpotent of step 2 (step is {step})")
@@ -455,11 +451,7 @@ SUITE = (
 )
 
 
-def theorem_suite(
-    alg: LieAlgebra,
-    cs: ComplexStructure,
-    s: Stratification | None = None,
-) -> list[Verdict]:
+def theorem_suite(cs: ComplexStructure, s: Stratification | None = None) -> list[Verdict]:
     """Assert every applicable statement of the theorem battery (``SUITE``).
 
     Each statement is evaluated three-valued: hypotheses checked exactly,
@@ -467,5 +459,5 @@ def theorem_suite(
     stratification are skipped (hypothesis_not_met) when none is supplied.
     """
     r = cs.series
-    facts = _facts(alg, s, cs=cs, r=r, j0=r.j0, k=r.algebra_step, z=r.center, d1=r.d_asc.term(1))
+    facts = _facts(r.algebra, s, cs=cs, r=r, j0=r.j0, k=r.algebra_step, z=r.center, d1=r.d_asc.term(1))
     return evaluate(SUITE, facts)

@@ -63,12 +63,12 @@ def conjugated():
     data = {}
     for name in NILPOTENT_ENTRIES:
         entry = builtin(name)
-        base = nilpotent_step(entry.algebra, entry.primary_structure)
+        base = nilpotent_step(entry.primary_structure)
         cases = []
         for _ in range(CONJUGATIONS):
             p = random_invertible(rng, entry.algebra.dim)
             alg2, cs2, strat2 = conjugate_entry(entry, p)
-            report = nilpotent_step(alg2, cs2)
+            report = nilpotent_step(cs2)
             cases.append(
                 {
                     "p": p,
@@ -186,7 +186,7 @@ def test_criterion_05_center_core_identity(conjugated):
             check(case["alg"], case["cs"], case["report"])
     # the non-nilpotent-J entry satisfies the identity too
     f4 = builtin("f4")
-    rep = nilpotent_step(f4.algebra, f4.primary_structure)
+    rep = nilpotent_step(f4.primary_structure)
     assert rep.d_asc.term(1) == largest_j_invariant_subspace(
         f4.primary_structure, center(f4.algebra)
     )
@@ -203,7 +203,7 @@ def test_criterion_06_center_dimension_bounds():
     }
     for name, (dim_z, lo, hi) in expectations.items():
         entry = builtin(name)
-        report = nilpotent_step(entry.algebra, entry.primary_structure)
+        report = nilpotent_step(entry.primary_structure)
         assert report.j0 is not None and not entry.algebra.is_abelian()
         z = center(entry.algebra)
         assert z.dim == dim_z
@@ -217,12 +217,12 @@ def test_criterion_07_step2_construction(rng):
         entry = builtin(name)
         for _ in range(20):
             phi = random_spd(rng, entry.algebra.dim)
-            s = build_step2_j_stratification(entry.algebra, entry.primary_structure, phi)
+            s = build_step2_j_stratification(entry.primary_structure, phi)
             assert verify_stratification(entry.algebra, s).ok
             assert is_strata_preserving(entry.primary_structure, s)
     kt4 = builtin("kt4")
     with pytest.raises(HypothesisNotMet, match="J-invariant"):
-        build_step2_j_stratification(kt4.algebra, kt4.primary_structure, Matrix.identity(4))
+        build_step2_j_stratification(kt4.primary_structure, Matrix.identity(4))
     _line(7, "step-2 construction verifies for 20 random SPD forms; kt4 rejected")
 
 
@@ -235,17 +235,17 @@ def test_criterion_08_step2_classification(conjugated):
     }
     for name, (case_name, j0, flags) in expected.items():
         entry = builtin(name)
-        cls = classify_step2(entry.algebra, entry.primary_structure)
+        cls = classify_step2(entry.primary_structure)
         assert cls.case == case_name
         assert cls.predicted_j0 == j0
         for flag, value in flags.items():
             assert getattr(cls, flag) == value, (name, flag)
-        report = nilpotent_step(entry.algebra, entry.primary_structure)
+        report = nilpotent_step(entry.primary_structure)
         assert report.j0 == cls.predicted_j0
         assert cls.predicted_j0 in (2, 3)
         # classification is basis-independent, prediction always matches
         for case in conjugated[name]["cases"][:10]:
-            moved = classify_step2(case["alg"], case["cs"])
+            moved = classify_step2(case["cs"])
             assert moved.case == case_name
             assert moved.predicted_j0 == case["report"].j0
     _line(8, "classification cases and predicted j0 match computed j0 everywhere")
@@ -255,7 +255,7 @@ def test_criterion_09_invariant_series_consequences():
     # bi-invariant entry: all lower central terms J-invariant => p_j = c_j
     entry = builtin("ch6")
     cs = entry.primary_structure
-    report = nilpotent_step(entry.algebra, cs)
+    report = nilpotent_step(cs)
     for j in range(report.c_desc.stabilized_at + 1):
         term = report.c_desc.term(j)
         assert cs.image(term) == term
@@ -268,7 +268,7 @@ def test_criterion_09_invariant_series_consequences():
     for name in ("a4", "ch6", "hh6", "rf8"):
         entry = builtin(name)
         cs = entry.primary_structure
-        report = nilpotent_step(entry.algebra, cs)
+        report = nilpotent_step(cs)
         k = report.algebra_step
         assert report.j0 == k
         z = report.center
@@ -284,18 +284,14 @@ def test_criterion_10_equivariance(conjugated):
         base = conjugated[name]["base"]
         base_suite = {
             v.name: v.status
-            for v in theorem_suite(
-                entry.algebra,
-                entry.primary_structure,
-                entry.primary_stratification,
-            )
+            for v in theorem_suite(entry.primary_structure, entry.primary_stratification)
         }
         base_audit = [
             (v.name, v.status) for v in containment_audit(base)
         ]
         base_case = None
         if base.algebra_step == 2:
-            base_case = classify_step2(entry.algebra, entry.primary_structure).case
+            base_case = classify_step2(entry.primary_structure).case
         for case in conjugated[name]["cases"]:
             report = case["report"]
             assert report.j0 == base.j0
@@ -306,11 +302,11 @@ def test_criterion_10_equivariance(conjugated):
                 for a, b in zip(src.terms, dst.terms):
                     assert image_subspace(a, case["p"]) == b
             if base_case is not None:
-                moved = classify_step2(case["alg"], case["cs"])
+                moved = classify_step2(case["cs"])
                 assert moved.case == base_case
             moved_suite = {
                 v.name: v.status
-                for v in theorem_suite(case["alg"], case["cs"], case["strat"])
+                for v in theorem_suite(case["cs"], case["strat"])
             }
             assert moved_suite == base_suite
             assert [(v.name, v.status) for v in case["audit"]] == base_audit

@@ -52,7 +52,7 @@ def test_expected_facts_are_rederived():
         assert center(entry.algebra).dim == expected["center_dim"], name
         structures = dict(entry.complex_structures)
         for j_name, j0 in expected.get("j0", {}).items():
-            report = nilpotent_step(entry.algebra, structures[j_name])
+            report = nilpotent_step(structures[j_name])
             assert report.j0 == j0, (name, j_name)
         for j_name, flag in expected.get("integrable", {}).items():
             assert is_integrable(structures[j_name]).integrable == flag, (name, j_name)
@@ -61,13 +61,13 @@ def test_expected_facts_are_rederived():
         for j_name, flag in expected.get("bi_invariant_j", {}).items():
             assert classify_special(structures[j_name]).bi_invariant == flag
         for j_name, case in expected.get("step2_case", {}).items():
-            cls = classify_step2(entry.algebra, structures[j_name])
+            cls = classify_step2(structures[j_name])
             assert cls.case == case, (name, j_name)
         for j_name, flag in expected.get("strata_preserving", {}).items():
-            cls = classify_step2(entry.algebra, structures[j_name])
+            cls = classify_step2(structures[j_name])
             assert cls.strata_preserving == flag
         for j_name, flag in expected.get("center_preserving", {}).items():
-            cls = classify_step2(entry.algebra, structures[j_name])
+            cls = classify_step2(structures[j_name])
             assert cls.center_preserving == flag
 
 
@@ -157,6 +157,11 @@ def test_parse_rejects_out_of_range_output():
     doc = {"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"5": "1"}}]}
     with pytest.raises(AlgebraFileError, match="out of range"):
         parse_algebra_file(json.dumps(doc))
+    # an output index is ASCII digits only: int() would read these as 10, 3 and 3
+    for key in ("1_0", "\u0663", " +3 "):
+        doc = {"dim": 10, "brackets": [{"i": 1, "j": 2, "out": {key: "1"}}]}
+        with pytest.raises(AlgebraFileError, match=r"output index .* is not an integer"):
+            parse_algebra_file(json.dumps(doc))
 
 
 def test_parse_rejects_duplicate_pairs():

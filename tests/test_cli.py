@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from liecs import catalog_names
+from liecs import build_report, builtin, catalog_names
 from liecs.cli import main
 
 RUN = [sys.executable, "-m", "liecs.cli"]
@@ -53,6 +53,13 @@ def test_suite_on_ch6_reports_route_agreement():
     doc = json.loads(result.stdout)
     assert doc["series"]["route_agreement"] is True
     assert all(v["status"] != "fail" for v in doc["verdicts"])
+
+
+def test_build_report_rejects_structure_of_another_algebra():
+    # ch6's J is a valid J on fr6's basis too, but it is bound to ch6's algebra
+    fr6, ch6 = builtin("fr6"), builtin("ch6")
+    with pytest.raises(ValueError, match="bound to a different algebra"):
+        build_report("report", "fr6", fr6.algebra, ch6.primary_structure, "standard")
 
 
 def test_jacobi_violation_file_exits_one_and_names_triple(tmp_path):
@@ -149,8 +156,10 @@ def test_unknown_input_exits_one():
          "not UTF-8 text"),
         (lambda tmp: _write(tmp / "utf16.json", '{"dim": 2}'.encode("utf-16")), "not UTF-8 text"),
         (lambda tmp: tmp / ("a" * 5000), "cannot read input"),  # a name the OS refuses
+        # deep enough for the JSON decoder's recursion guard on every supported Python
+        (lambda tmp: _write(tmp / "deep.json", b"[" * 100_000), "nests too deeply"),
     ],
-    ids=["directory", "latin-1", "utf-16", "name-too-long"],
+    ids=["directory", "latin-1", "utf-16", "name-too-long", "deep-nesting"],
 )
 def test_unreadable_input_exits_one_in_band(tmp_path, make_input, message):
     # an unreadable file takes the same path, but root reads any file, so

@@ -32,7 +32,7 @@ def span(n, *indices):
 
 def test_ascending_chain_kt4():
     entry = builtin("kt4")
-    chain = j_ascending_series(entry.algebra, entry.primary_structure)
+    chain = j_ascending_series(entry.primary_structure)
     assert chain.terms == (Subspace.zero(4), span(4, 3, 4), Subspace.full(4))
     z = center(entry.algebra)
     assert chain.term(1) == subspace_intersection(
@@ -42,36 +42,36 @@ def test_ascending_chain_kt4():
 
 def test_ascending_chain_abelian():
     entry = builtin("a4")
-    chain = j_ascending_series(entry.algebra, entry.primary_structure)
+    chain = j_ascending_series(entry.primary_structure)
     assert chain.terms == (Subspace.zero(4), Subspace.full(4))
 
 
 def test_ascending_chain_ch6():
     entry = builtin("ch6")
-    chain = j_ascending_series(entry.algebra, entry.primary_structure)
+    chain = j_ascending_series(entry.primary_structure)
     assert chain.terms == (Subspace.zero(6), span(6, 5, 6), Subspace.full(6))
 
 
 def test_descending_chain_values():
     kt4 = builtin("kt4")
-    chain = j_descending_series(kt4.algebra, kt4.primary_structure)
+    chain = j_descending_series(kt4.primary_structure)
     assert chain.terms == (Subspace.full(4), span(4, 3, 4), Subspace.zero(4))
     a4 = builtin("a4")
-    chain = j_descending_series(a4.algebra, a4.primary_structure)
+    chain = j_descending_series(a4.primary_structure)
     assert chain.terms == (Subspace.full(4), Subspace.zero(4))
     ch6 = builtin("ch6")
-    chain = j_descending_series(ch6.algebra, ch6.primary_structure)
+    chain = j_descending_series(ch6.primary_structure)
     assert chain.terms == (Subspace.full(6), span(6, 5, 6), Subspace.zero(6))
 
 
 def test_p_chain_values():
     kt4 = builtin("kt4")
-    chain = p_series(kt4.algebra, kt4.primary_structure)
+    chain = p_series(kt4.primary_structure)
     assert chain.terms == (Subspace.full(4), span(4, 3), Subspace.zero(4))
     a4 = builtin("a4")
-    assert p_series(a4.algebra, a4.primary_structure).dims() == (4, 0)
+    assert p_series(a4.primary_structure).dims() == (4, 0)
     ch6 = builtin("ch6")
-    chain = p_series(ch6.algebra, ch6.primary_structure)
+    chain = p_series(ch6.primary_structure)
     assert chain.terms == (Subspace.full(6), span(6, 5, 6), Subspace.zero(6))
 
 
@@ -83,9 +83,9 @@ def test_chain_terms_are_ideals_and_monotone():
         alg, cs = entry.algebra, entry.primary_structure
         full = Subspace.full(alg.dim)
         for chain, descending in (
-            (j_ascending_series(alg, cs), False),
-            (j_descending_series(alg, cs), True),
-            (p_series(alg, cs), True),
+            (j_ascending_series(cs), False),
+            (j_descending_series(cs), True),
+            (p_series(cs), True),
         ):
             for j in range(chain.stabilized_at):
                 lo, hi = chain.terms[j], chain.terms[j + 1]
@@ -101,8 +101,8 @@ def test_d_chains_are_j_invariant_pointwise():
         entry = builtin(name)
         cs = entry.primary_structure
         for chain in (
-            j_ascending_series(entry.algebra, cs),
-            j_descending_series(entry.algebra, cs),
+            j_ascending_series(cs),
+            j_descending_series(cs),
         ):
             for term in chain.terms:
                 assert cs.image(term) == term
@@ -115,15 +115,23 @@ def test_nilpotent_step_catalog_values():
     expected = {"a4": 1, "kt4": 2, "ch6": 2, "hh6": 2, "fr6": 3, "rf8": 3, "f4": None}
     for name, j0 in expected.items():
         entry = builtin(name)
-        report = nilpotent_step(entry.algebra, entry.primary_structure)
+        report = nilpotent_step(entry.primary_structure)
         assert report.j0 == j0, name
         assert report.route_agreement
+
+
+def test_series_report_reads_the_algebra_of_its_structure():
+    cs = builtin("fr6").primary_structure
+    report = nilpotent_step(cs)
+    assert report.algebra is cs.algebra
+    assert report.c_desc is cs.algebra.descending_series
+    assert report.c_asc is cs.algebra.ascending_series
 
 
 def test_one_dim_center_forces_non_nilpotent_structure():
     entry = builtin("f4")
     assert center(entry.algebra).dim == 1
-    report = nilpotent_step(entry.algebra, entry.primary_structure)
+    report = nilpotent_step(entry.primary_structure)
     assert report.j0 is None
 
 
@@ -131,7 +139,7 @@ def test_first_ascending_term_is_center_core():
     for name in ("a4", "kt4", "ch6", "hh6", "fr6", "rf8", "f4"):
         entry = builtin(name)
         cs = entry.primary_structure
-        report = nilpotent_step(entry.algebra, cs)
+        report = nilpotent_step(cs)
         z = report.center
         assert report.d_asc.term(1) == largest_j_invariant_subspace(cs, z)
         assert report.d_asc.term(1).dim % 2 == 0
@@ -140,7 +148,7 @@ def test_first_ascending_term_is_center_core():
 def test_step_bounds_when_nilpotent():
     for name in ("a4", "kt4", "ch6", "hh6", "fr6", "rf8"):
         entry = builtin(name)
-        report = nilpotent_step(entry.algebra, entry.primary_structure)
+        report = nilpotent_step(entry.primary_structure)
         k = report.algebra_step
         assert k is not None and report.j0 is not None
         assert k <= report.j0 <= entry.algebra.dim // 2
@@ -153,7 +161,7 @@ def test_abelian_quotient_characterization():
     for name in ("kt4", "ch6", "hh6", "fr6", "rf8"):
         entry = builtin(name)
         alg, cs = entry.algebra, entry.primary_structure
-        report = nilpotent_step(alg, cs)
+        report = nilpotent_step(cs)
         derived = bracket_subspaces(alg, Subspace.full(alg.dim), Subspace.full(alg.dim))
         least = next(
             k
@@ -168,7 +176,7 @@ def test_dual_containment_lemma():
     # least k for which the whole family of containments d_j ⊆ d^{k-j} holds
     for name in ("a4", "kt4", "ch6", "hh6", "fr6", "rf8"):
         entry = builtin(name)
-        report = nilpotent_step(entry.algebra, entry.primary_structure)
+        report = nilpotent_step(entry.primary_structure)
         zero = Subspace.zero(entry.algebra.dim)
 
         def family_holds(k):
@@ -189,7 +197,7 @@ def test_preservation_equivalences():
     for name in ("a4", "kt4", "ch6", "hh6", "fr6", "rf8", "f4"):
         entry = builtin(name)
         cs = entry.primary_structure
-        report = nilpotent_step(entry.algebra, cs)
+        report = nilpotent_step(cs)
 
         asc = report.c_asc
         span_up = max(asc.stabilized_at, report.d_asc.stabilized_at)
@@ -218,7 +226,7 @@ def test_preservation_equivalences():
 def test_containment_audit_passes_on_catalog():
     for name in ("a4", "kt4", "ch6", "hh6", "fr6", "rf8", "f4"):
         entry = builtin(name)
-        report = nilpotent_step(entry.algebra, entry.primary_structure)
+        report = nilpotent_step(entry.primary_structure)
         verdicts = containment_audit(report)
         assert not any(v.failed for v in verdicts), name
         statuses = {v.name: v.status for v in verdicts}
@@ -230,7 +238,7 @@ def test_containment_audit_passes_on_catalog():
 
 def test_audit_p_equals_c_on_bi_invariant_entry():
     entry = builtin("ch6")
-    report = nilpotent_step(entry.algebra, entry.primary_structure)
+    report = nilpotent_step(entry.primary_structure)
     span_j = max(report.c_desc.stabilized_at, report.p_desc.stabilized_at)
     for j in range(span_j + 1):
         assert report.p_desc.term(j) == report.c_desc.term(j)
@@ -238,20 +246,20 @@ def test_audit_p_equals_c_on_bi_invariant_entry():
 
 def test_center_dim_bounds_catalog():
     kt4 = builtin("kt4")
-    rep = nilpotent_step(kt4.algebra, kt4.primary_structure)
+    rep = nilpotent_step(kt4.primary_structure)
     assert center_dim_bounds(rep).status == PASS
 
     ch6 = builtin("ch6")
-    rep = nilpotent_step(ch6.algebra, ch6.primary_structure)
+    rep = nilpotent_step(ch6.primary_structure)
     assert center_dim_bounds(rep).status == PASS
 
     a4 = builtin("a4")
-    rep = nilpotent_step(a4.algebra, a4.primary_structure)
+    rep = nilpotent_step(a4.primary_structure)
     verdict = center_dim_bounds(rep)
     assert verdict.status == HYPOTHESIS_NOT_MET and "abelian" in verdict.detail
 
     f4 = builtin("f4")
-    rep = nilpotent_step(f4.algebra, f4.primary_structure)
+    rep = nilpotent_step(f4.primary_structure)
     assert center_dim_bounds(rep).status == HYPOTHESIS_NOT_MET
 
 
@@ -264,7 +272,7 @@ def test_minimal_even_dimension_pipeline():
 
     a2 = LieAlgebra.from_brackets(2, {})
     cs = validate_almost_complex(a2, Matrix.from_rows([[0, -1], [1, 0]]))
-    report = nilpotent_step(a2, cs)
+    report = nilpotent_step(cs)
     assert report.j0 == 1
     assert report.d_asc.dims() == (0, 2)
     assert not any(v.failed for v in containment_audit(report))
@@ -278,9 +286,9 @@ def test_route_disagreement_is_a_hard_failure(monkeypatch):
 
     entry = builtin("kt4")
     truncated = SubspaceChain((Subspace.full(4),), 0)
-    monkeypatch.setattr(js, "p_series", lambda alg, cs: truncated)
+    monkeypatch.setattr(js, "p_series", lambda cs: truncated)
     with pytest.raises(InconsistencyError, match="routes disagree"):
-        js.nilpotent_step(entry.algebra, entry.primary_structure)
+        js.nilpotent_step(entry.primary_structure)
 
 
 def test_chain_stabilization_cap_is_a_hard_failure():
@@ -295,11 +303,11 @@ def test_chain_stabilization_cap_is_a_hard_failure():
 def test_series_transport_under_conjugation(rng):
     for name in ("kt4", "ch6", "hh6", "f4"):
         entry = builtin(name)
-        base = nilpotent_step(entry.algebra, entry.primary_structure)
+        base = nilpotent_step(entry.primary_structure)
         for _ in range(5):
             p = random_invertible(rng, entry.algebra.dim)
             alg2, cs2, _ = conjugate_entry(entry, p)
-            moved = nilpotent_step(alg2, cs2)
+            moved = nilpotent_step(cs2)
             assert moved.j0 == base.j0
             for chain_name in ("d_asc", "d_desc", "p_desc"):
                 src = getattr(base, chain_name)
@@ -316,5 +324,5 @@ def test_j_ascending_series_equals_stacked_maps_oracle(catalog):
     for seed, entry in enumerate([*entries, direct_sum(catalog["ch6"], 2)]):
         p = random_invertible(random.Random(seed), entry.algebra.dim)
         alg, cs, _ = conjugate_entry(entry, p)
-        terms = [t.basis_rows() for t in j_ascending_series(alg, cs).terms]
+        terms = [t.basis_rows() for t in j_ascending_series(cs).terms]
         assert terms == fraction_ascending_chain(alg, cs.matrix), entry.name

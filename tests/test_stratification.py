@@ -101,7 +101,7 @@ def test_build_step2_with_random_spd_forms(name, rng):
     entry = builtin(name)
     for _ in range(20):
         phi = random_spd(rng, entry.algebra.dim)
-        s = build_step2_j_stratification(entry.algebra, entry.primary_structure, phi)
+        s = build_step2_j_stratification(entry.primary_structure, phi)
         assert verify_stratification(entry.algebra, s).ok
         assert is_strata_preserving(entry.primary_structure, s)
 
@@ -109,18 +109,16 @@ def test_build_step2_with_random_spd_forms(name, rng):
 def test_build_step2_fails_on_kt4():
     entry = builtin("kt4")
     with pytest.raises(HypothesisNotMet, match="J-invariant"):
-        build_step2_j_stratification(
-            entry.algebra, entry.primary_structure, Matrix.identity(4)
-        )
+        build_step2_j_stratification(entry.primary_structure, Matrix.identity(4))
 
 
 def test_build_step2_fails_off_step_2():
     a4 = builtin("a4")
     with pytest.raises(HypothesisNotMet, match="step 2"):
-        build_step2_j_stratification(a4.algebra, a4.primary_structure, Matrix.identity(4))
+        build_step2_j_stratification(a4.primary_structure, Matrix.identity(4))
     f4 = builtin("f4")
     with pytest.raises(HypothesisNotMet, match="step 2"):
-        build_step2_j_stratification(f4.algebra, f4.primary_structure, Matrix.identity(4))
+        build_step2_j_stratification(f4.primary_structure, Matrix.identity(4))
 
 
 # -- classification -----------------------------------------------------------
@@ -128,7 +126,7 @@ def test_build_step2_fails_off_step_2():
 
 def test_classify_kt4():
     entry = builtin("kt4")
-    cls = classify_step2(entry.algebra, entry.primary_structure)
+    cls = classify_step2(entry.primary_structure)
     assert cls.case == "k_zero"
     assert cls.predicted_j0 == 2
     assert cls.k_subspace.is_zero()
@@ -139,7 +137,7 @@ def test_classify_kt4():
 @pytest.mark.parametrize("name", ["ch6", "hh6"])
 def test_classify_full_case(name):
     entry = builtin(name)
-    cls = classify_step2(entry.algebra, entry.primary_structure)
+    cls = classify_step2(entry.primary_structure)
     assert cls.case == "k_full"
     assert cls.predicted_j0 == 2
     assert cls.strata_preserving
@@ -149,14 +147,12 @@ def test_classify_full_case(name):
 def test_classify_rejects_wrong_step():
     a4 = builtin("a4")
     with pytest.raises(HypothesisNotMet, match="step 2"):
-        classify_step2(a4.algebra, a4.primary_structure)
+        classify_step2(a4.primary_structure)
 
 
 def test_classify_accepts_consistent_stratification():
     entry = builtin("kt4")
-    cls = classify_step2(
-        entry.algebra, entry.primary_structure, entry.primary_stratification
-    )
+    cls = classify_step2(entry.primary_structure, entry.primary_stratification)
     assert cls.case == "k_zero"
 
 
@@ -167,7 +163,7 @@ def test_classify_rejects_inconsistent_stratification():
         Stratification((Subspace.full(4),)),
     ):
         with pytest.raises(ValueError, match="supplied stratification is invalid"):
-            classify_step2(entry.algebra, entry.primary_structure, bad)
+            classify_step2(entry.primary_structure, bad)
 
 
 def _random_span(rng, n, count):
@@ -211,22 +207,22 @@ def test_verified_stratifications_have_step_two_and_top_layer_c1(name, rng):
         for s in [given, *_candidate_stratifications(rng, alg)]:
             if not verify_stratification(alg, s).ok:
                 with pytest.raises(ValueError, match="supplied stratification is invalid"):
-                    classify_step2(alg, cs, s)
+                    classify_step2(cs, s)
                 continue
             verified += 1
             assert s.step == 2 and s.layer(2) == top, name
-            assert classify_step2(alg, cs, s) == classify_step2(alg, cs)
+            assert classify_step2(cs, s) == classify_step2(cs)
         assert verified >= 2, name
 
 
 def test_classification_invariant_under_conjugation(rng):
     for name in ("kt4", "ch6", "hh6"):
         entry = builtin(name)
-        base = classify_step2(entry.algebra, entry.primary_structure)
+        base = classify_step2(entry.primary_structure)
         for _ in range(5):
             p = random_invertible(rng, entry.algebra.dim)
             alg2, cs2, _ = conjugate_entry(entry, p)
-            moved = classify_step2(alg2, cs2)
+            moved = classify_step2(cs2)
             assert moved.case == base.case
             assert moved.predicted_j0 == base.predicted_j0
             assert moved.k_subspace.dim == base.k_subspace.dim
@@ -237,15 +233,15 @@ def test_step2_structures_have_step_two_or_three(rng):
     # j0 is 2 or 3 accordingly
     for name in ("kt4", "ch6", "hh6", "fr6"):
         entry = builtin(name)
-        cls = classify_step2(entry.algebra, entry.primary_structure)
+        cls = classify_step2(entry.primary_structure)
         assert cls.predicted_j0 in (2, 3)
-        report = nilpotent_step(entry.algebra, entry.primary_structure)
+        report = nilpotent_step(entry.primary_structure)
         assert report.j0 == cls.predicted_j0
 
 
 def test_classify_proper_case_on_free_two_step():
     entry = builtin("fr6")
-    cls = classify_step2(entry.algebra, entry.primary_structure)
+    cls = classify_step2(entry.primary_structure)
     assert cls.case == "k_proper"
     assert cls.predicted_j0 == 3
     assert 0 < cls.k_subspace.dim < 3
@@ -256,7 +252,7 @@ def test_classify_requires_integrability():
     entry = builtin("hh6")
     swapped = dict(entry.complex_structures)["axis_swapped"]
     with pytest.raises(HypothesisNotMet, match="integrable"):
-        classify_step2(entry.algebra, swapped)
+        classify_step2(swapped)
 
 
 def test_step2_flag_table_consistency():
@@ -264,7 +260,7 @@ def test_step2_flag_table_consistency():
     # step 3 happens exactly when it preserves neither
     for name in ("kt4", "ch6", "hh6", "fr6"):
         entry = builtin(name)
-        cls = classify_step2(entry.algebra, entry.primary_structure)
+        cls = classify_step2(entry.primary_structure)
         if cls.predicted_j0 == 2:
             assert cls.center_preserving or cls.strata_preserving
         else:
@@ -330,18 +326,14 @@ def test_obstruction_triggers_on_f4_first_layer():
 def suite_by_name(entry):
     return {
         v.name: v
-        for v in theorem_suite(
-            entry.algebra, entry.primary_structure, entry.primary_stratification
-        )
+        for v in theorem_suite(entry.primary_structure, entry.primary_stratification)
     }
 
 
 def test_suite_never_fails_on_catalog():
     for name in ("a4", "kt4", "ch6", "hh6", "fr6", "rf8", "f4"):
         entry = builtin(name)
-        for verdict in theorem_suite(
-            entry.algebra, entry.primary_structure, entry.primary_stratification
-        ):
+        for verdict in theorem_suite(entry.primary_structure, entry.primary_stratification):
             assert verdict.status != FAIL, (name, verdict)
 
 
@@ -397,7 +389,7 @@ def test_suite_abelian_all_sectional_statements_vacuous():
 
 def test_suite_without_stratification_skips_layered_statements():
     entry = builtin("ch6")
-    verdicts = {v.name: v for v in theorem_suite(entry.algebra, entry.primary_structure)}
+    verdicts = {v.name: v for v in theorem_suite(entry.primary_structure)}
     assert verdicts["strata_preserving_pins_series"].status == HYPOTHESIS_NOT_MET
     assert verdicts["invariant_lower_series_pins_p_chain"].status == PASS
 
@@ -407,12 +399,10 @@ def test_suite_stable_under_conjugation(rng):
         entry = builtin(name)
         base = {
             v.name: v.status
-            for v in theorem_suite(
-                entry.algebra, entry.primary_structure, entry.primary_stratification
-            )
+            for v in theorem_suite(entry.primary_structure, entry.primary_stratification)
         }
         for _ in range(3):
             p = random_invertible(rng, entry.algebra.dim)
             alg2, cs2, s2 = conjugate_entry(entry, p)
-            moved = {v.name: v.status for v in theorem_suite(alg2, cs2, s2)}
+            moved = {v.name: v.status for v in theorem_suite(cs2, s2)}
             assert moved == base
