@@ -4,7 +4,12 @@ Every catalog entry runs through ``liecs.cli.main`` with each report
 command, in JSON and in markdown.  One seeded scramble of each nilpotent
 entry, and one of ch6⊕ch6⊕ch6 (dim 18, where packed integer rows are
 widest), is written as an algebra file and run as ``report`` in JSON,
-which covers the file-parse path.  The outputs, the scrambled input files and
+which covers the file-parse path.  Two more scrambles are faulty inputs
+whose report reads the input basis only through the fault: a kt4 with
+one structure constant perturbed until Jacobi fails (the report names
+the violated triple of the file's basis), and an rf8 whose first layer
+is tilted into the second (the report names the stratification property
+and layer that fail).  Both exit 1.  The outputs, the scrambled input files and
 the exit statuses (``exit_status.json``) must equal the files committed
 under ``tests/golden/``.
 
@@ -22,9 +27,18 @@ import random
 import shutil
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
-from liecs import builtin, catalog_names, serialize_algebra
+from liecs import (
+    CatalogEntry,
+    LieAlgebra,
+    Stratification,
+    Subspace,
+    builtin,
+    catalog_names,
+    serialize_algebra,
+)
 from liecs.cli import main
 
 from conftest import conjugate_entry, direct_sum, random_invertible
@@ -39,17 +53,54 @@ def _nilpotent_entries() -> list[str]:
     return [name for name in catalog_names() if builtin(name).expected["step"] is not None]
 
 
+def jacobi_violating(rng: random.Random) -> LieAlgebra:
+    """A scrambled kt4 with one structure constant raised by 1 until Jacobi fails."""
+    kt4 = builtin("kt4")
+    alg, _, _ = conjugate_entry(kt4, random_invertible(rng, kt4.algebra.dim))
+    while True:
+        i, j, coeffs = rng.choice(alg.structure)
+        perturbed = list(coeffs)
+        perturbed[rng.randrange(alg.dim)] += 1
+        structure = tuple(
+            (a, b, tuple(perturbed) if (a, b) == (i, j) else c) for a, b, c in alg.structure
+        )
+        candidate = LieAlgebra(alg.dim, structure)
+        if not candidate.validation.ok:
+            return candidate
+
+
+def tilted_strata(entry: CatalogEntry) -> CatalogEntry:
+    """The entry with its first layer's first row moved by the second layer's first row.
+
+    The layers stay a direct sum, but [n_1, n_1] is no longer the given
+    second layer, so the stratification is invalid.
+    """
+    layers = entry.primary_stratification.layers
+    rows = [list(r) for r in layers[0].basis_rows()]
+    rows[0] = [a + b for a, b in zip(rows[0], layers[1].basis_rows()[0])]
+    tilted = Subspace.from_rows(entry.algebra.dim, rows)
+    return replace(entry, stratifications=(("tilted", Stratification((tilted, *layers[1:]))),))
+
+
 def _write_scrambles(workdir: Path) -> list[tuple[str, str]]:
-    """Write one seeded scramble per nilpotent entry and of ch6^3; return (name, relative path)."""
+    """Write the seeded scrambled inputs; return (name, relative path) for each.
+
+    One per nilpotent entry and of ch6^3, then the two faulty ones.
+    """
     (workdir / "scrambled").mkdir()
-    inputs = []
+    files = []
     entries = [builtin(name) for name in _nilpotent_entries()]
     for entry in [*entries, direct_sum(builtin("ch6"), 3)]:
-        name = entry.name
-        rng = random.Random(f"golden:{name}")
+        rng = random.Random(f"golden:{entry.name}")
         p = random_invertible(rng, entry.algebra.dim)
+        files.append((entry.name, serialize_algebra(*conjugate_entry(entry, p))))
+    files.append(("kt4-jacobi", serialize_algebra(jacobi_violating(random.Random("golden:kt4-jacobi")))))
+    p = random_invertible(random.Random("golden:rf8-strata"), 8)
+    files.append(("rf8-strata", serialize_algebra(*conjugate_entry(tilted_strata(builtin("rf8")), p))))
+    inputs = []
+    for name, data in files:
         rel = f"scrambled/{name}.json"
-        (workdir / rel).write_bytes(serialize_algebra(*conjugate_entry(entry, p)))
+        (workdir / rel).write_bytes(data)
         inputs.append((name, rel))
     return inputs
 
