@@ -65,6 +65,7 @@ from .linalg import (
     Subspace,
     Vector,
     as_rational,
+    image_subspace,
     int_kernel,
     int_matvec,
     pack,
@@ -229,8 +230,18 @@ class LieAlgebra:
         return not self.structure
 
     @cached_property
+    def twin(self) -> AdaptedInput:
+        """This algebra in a basis adapted to its lower central series; see ``AdaptedInput``."""
+        return adapted_input(self)
+
+    @cached_property
     def validation(self) -> ValidationReport:
-        return validate(self)
+        """Decided on the twin; a failing one is validated again here for its witnesses."""
+        twin = self.twin.algebra
+        if twin is self:
+            return validate(self)
+        found = twin.validation
+        return found if found.ok else validate(self)
 
     @cached_property
     def descending_series(self) -> SubspaceChain:
@@ -238,7 +249,79 @@ class LieAlgebra:
 
     @cached_property
     def ascending_series(self) -> SubspaceChain:
-        return ascending_central_series(self)
+        """Computed on the twin and mapped back (``AdaptedInput.chain_to_input``)."""
+        twin = self.twin
+        if twin.algebra is self:
+            return ascending_central_series(self)
+        return twin.chain_to_input(twin.algebra.ascending_series)
+
+
+@dataclass(frozen=True)
+class AdaptedInput:
+    """An algebra moved into a basis adapted to its lower central series: its twin.
+
+    ``basis`` has the adapted basis vectors as its columns, in input
+    coordinates, so it maps twin coordinates to input ones; ``inverse``
+    maps input coordinates to twin ones, and ``algebra`` is the bracket in
+    twin coordinates (``change_of_basis(input, inverse)``).  Both matrices
+    are None when the input basis is adapted already, and ``algebra`` is
+    then the input itself.  In twin coordinates each term c_j of the lower
+    central series is spanned by the last dim c_j basis vectors, so the
+    structure tensor is block-triangular and sparse whatever the input.
+    """
+
+    algebra: LieAlgebra
+    basis: Matrix | None = None
+    inverse: Matrix | None = None
+
+    @memoized
+    def to_twin(self, w: Subspace) -> Subspace:
+        """A subspace of the input, in twin coordinates."""
+        return w if self.inverse is None else image_subspace(w, self.inverse)
+
+    @memoized
+    def to_input(self, w: Subspace) -> Subspace:
+        """A subspace given in twin coordinates, in input coordinates."""
+        return w if self.basis is None else image_subspace(w, self.basis)
+
+    def chain_to_input(self, chain: SubspaceChain) -> SubspaceChain:
+        return SubspaceChain(tuple(map(self.to_input, chain.terms)), chain.stabilized_at)
+
+
+def _is_coordinate(w: Subspace) -> bool:
+    """True iff w is spanned by standard basis vectors."""
+    return all(sum(map(bool, row)) == 1 for row in w.rows)
+
+
+def adapted_input(alg: LieAlgebra) -> AdaptedInput:
+    """The twin of ``alg``: its bracket in a basis adapted to c_0 ⊃ c_1 ⊃ ...
+
+    The basis takes, from each term c_j of the lower central series (the
+    stable one last), the canonical rows whose pivots are not pivots of
+    c_{j+1}: they lie in c_j, have distinct pivots, and with c_{j+1} span
+    c_j.  The series exists for any antisymmetric bracket, so the twin is
+    built before Jacobi is known.  When every term is a coordinate subspace
+    already, the twin is the algebra itself.  The moved algebra's own
+    descending series is the coordinate flag, stored on it rather than
+    computed again, and its twin is itself.
+    """
+    series = alg.descending_series
+    if all(map(_is_coordinate, series.terms)):
+        return AdaptedInput(alg)
+    n = alg.dim
+    rows = []
+    for term, below in zip(series.terms, (*series.terms[1:], Subspace.zero(n))):
+        taken = set(below.pivots)
+        rows.extend(row for row, c in zip(term.rows, term.pivots) if c not in taken)
+    basis = Matrix.from_rows(rows).transpose()
+    inverse = basis.inverse()
+    moved = change_of_basis(alg, inverse)
+    full = Subspace.full(n)
+    flag = tuple(Subspace(n, full.rows[n - t.dim :]) for t in series.terms)
+    vars(moved).update(
+        descending_series=SubspaceChain(flag, series.stabilized_at), twin=AdaptedInput(moved)
+    )
+    return AdaptedInput(moved, basis, inverse)
 
 
 @dataclass(frozen=True)

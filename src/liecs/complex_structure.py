@@ -69,14 +69,31 @@ class ComplexStructure:
         return PairTable.build(self)
 
     @cached_property
+    def twin(self) -> ComplexStructure:
+        """J moved once onto ``algebra.twin`` (``AdaptedInput``); self when that is the algebra."""
+        adapted = self.algebra.twin
+        if adapted.basis is None:
+            return self
+        return ComplexStructure(adapted.algebra, adapted.inverse @ self.matrix @ adapted.basis)
+
+    @cached_property
     def integrability(self) -> IntegrabilityReport:
-        return is_integrable(self)
+        """Decided on the twin; a failing one is checked again here for its witnesses."""
+        if self.twin is self:
+            return is_integrable(self)
+        found = self.twin.integrability
+        return found if found.integrable else is_integrable(self)
 
     @cached_property
     def series(self) -> SeriesReport:
-        from .j_series import nilpotent_step
+        """Computed on the twin; every term mapped back to this basis."""
+        from .j_series import SeriesReport, nilpotent_step
 
-        return nilpotent_step(self)
+        if self.twin is self:
+            return nilpotent_step(self)
+        found, adapted = self.twin.series, self.algebra.twin
+        chains = (found.d_asc, found.d_desc, found.p_desc)
+        return SeriesReport(self, *map(adapted.chain_to_input, chains), found.j0)
 
     @cached_property
     def step2_stratification(self) -> Stratification:

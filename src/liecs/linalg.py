@@ -520,6 +520,16 @@ def orthogonal_complement(a: Subspace, gram: Matrix) -> Subspace:
         raise ValueError("gram matrix is not symmetric")
     if not is_positive_definite(gram):
         raise ValueError("gram matrix is not positive definite")
+    return _orthogonal_complement(a, gram)
+
+
+def _orthogonal_complement(a: Subspace, gram: Matrix) -> Subspace:
+    """``orthogonal_complement`` for a Gram matrix already known to be SPD, unchecked.
+
+    For callers that have proved positive definiteness another way, such
+    as psi = phi + JᵀφJ with phi checked SPD.
+    """
+    n = a.ambient_dim
     if a.is_zero():
         return Subspace.full(n)
     conditions = [int_matvec(gram.ints, row) for row in a.rows]

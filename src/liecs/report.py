@@ -145,24 +145,45 @@ def build_report(
             return replace(report, errors=("command requires a complex structure, none available",))
         return report  # report: emit what exists
 
-    report = replace(report, series=cs.series)
-    if command == "series":
-        return report
+    twin = cs.twin
+    twin_strat = None if strat is None else strat.on_twin(cs.algebra.twin)
+    report = replace(report, series=twin.series)
+    if command != "series":
+        report = replace(report, integrability=twin.integrability, special=classify_special(twin))
+        try:
+            report = replace(report, classification=classify_step2(twin, twin_strat))
+        except HypothesisNotMet as exc:
+            report = replace(report, classification_skip_reason=str(exc))
+    if command not in ("series", "classify"):
+        report = replace(
+            report,
+            verdicts=(
+                *containment_audit(report.series),
+                center_dim_bounds(report.series),
+                *stratification_obstructions(twin.algebra, twin_strat),
+                *theorem_suite(twin, twin_strat),
+            ),
+        )
+    return _in_input_basis(report, cs)
 
-    report = replace(report, integrability=cs.integrability, special=classify_special(cs))
-    try:
-        report = replace(report, classification=classify_step2(cs, strat))
-    except HypothesisNotMet as exc:
-        report = replace(report, classification_skip_reason=str(exc))
-    if command == "classify":
-        return report
 
+def _in_input_basis(report: FullReport, cs: ComplexStructure) -> FullReport:
+    """The one boundary: a report decided on ``cs.twin``, written in the basis of ``cs``.
+
+    The series come from ``cs.series``, which maps the twin's terms back,
+    and the witnesses from ``cs.integrability``, which checks a failing
+    structure again in this basis; k is mapped by ``AdaptedInput.to_input``.
+    Every other field is a dimension, a flag, a case or a verdict, which no
+    change of basis alters.
+    """
+    if cs.twin is cs:
+        return report
+    found = report.classification
     return replace(
         report,
-        verdicts=(
-            *containment_audit(report.series),
-            center_dim_bounds(report.series),
-            *stratification_obstructions(alg, strat),
-            *theorem_suite(cs, strat),
-        ),
+        series=cs.series,
+        integrability=None if report.integrability is None else cs.integrability,
+        classification=None
+        if found is None
+        else replace(found, k_subspace=cs.algebra.twin.to_input(found.k_subspace)),
     )

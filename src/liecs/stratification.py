@@ -22,19 +22,26 @@ statement is one more entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
-from .algebra import LieAlgebra, bracket_subspaces, center, memoized, nilpotency_step
+from .algebra import (
+    AdaptedInput,
+    LieAlgebra,
+    bracket_subspaces,
+    center,
+    memoized,
+    nilpotency_step,
+)
 from .complex_structure import (
     ComplexStructure,
     j_invariant_inner_product,
     largest_j_invariant_subspace,
 )
 from .errors import HypothesisNotMet, InconsistencyError
+from .j_series import SeriesReport
 from .linalg import (
     Matrix,
     Subspace,
-    orthogonal_complement,
+    _orthogonal_complement,
     subspace_intersection,
     subspace_sum,
 )
@@ -58,6 +65,10 @@ class Stratification:
     def layer(self, index: int) -> Subspace:
         """1-based layer access: layer(1) = n_1."""
         return self.layers[index - 1]
+
+    def on_twin(self, twin: AdaptedInput) -> Stratification:
+        """The layers in the coordinates of ``twin``, each moved once (``AdaptedInput.to_twin``)."""
+        return Stratification(tuple(map(twin.to_twin, self.layers)))
 
 
 @dataclass(frozen=True)
@@ -161,13 +172,19 @@ def verify_stratification(alg: LieAlgebra, s: Stratification) -> StratificationV
 
 @memoized
 def stratification_verdict(alg: LieAlgebra, s: Stratification) -> StratificationVerdict:
-    """``verify_stratification(alg, s)``, computed once per (algebra, stratification).
+    """``verify_stratification(alg, s)``, decided on the twin, once per (algebra, stratification).
 
     The verdict is memoized on the algebra (``algebra.memoized``), keyed by
     the frozen stratification, so the parse gate, the step-2
     classification, the obstructions and the theorem suite share one check.
+    It is decided on ``alg.twin`` with the layers moved there: every
+    violation names a property, a layer index and dimensions, which no
+    change of basis alters.
     """
-    return verify_stratification(alg, s)
+    twin = alg.twin
+    if twin.algebra is alg or any(layer.ambient_dim != alg.dim for layer in s.layers):
+        return verify_stratification(alg, s)
+    return stratification_verdict(twin.algebra, s.on_twin(twin))
 
 
 def is_strata_preserving(cs: ComplexStructure, s: Stratification) -> bool:
@@ -190,8 +207,8 @@ def build_step2_j_stratification(cs: ComplexStructure, phi: Matrix) -> Stratific
     derived = alg.descending_series.term(1)
     if cs.image(derived) != derived:
         raise HypothesisNotMet("[n, n] is not J-invariant")
-    psi = j_invariant_inner_product(cs, phi)
-    n1 = orthogonal_complement(derived, psi)
+    # psi is SPD because phi is, which j_invariant_inner_product checks.
+    n1 = _orthogonal_complement(derived, j_invariant_inner_product(cs, phi))
     s = Stratification((n1, derived))
     verdict = verify_stratification(alg, s)
     if not verdict.ok:
@@ -285,10 +302,22 @@ def blocks_stratification_by_dims(dim: int, descending_dims: tuple[int, ...]) ->
     return all(descending_dims[j] == 2 * n - 2 * j for j in range(n + 1))
 
 
-def _facts(alg: LieAlgebra, s: Stratification | None, **more) -> SimpleNamespace:
-    """What the statements of ``OBSTRUCTIONS`` and ``SUITE`` read."""
-    ok = s is not None and stratification_verdict(alg, s).ok
-    return SimpleNamespace(alg=alg, s=s, strat_ok=ok, **more)
+@dataclass(frozen=True)
+class _Facts:
+    """What the statements of ``OBSTRUCTIONS`` and ``SUITE`` read.
+
+    A stratification ``s`` (or None) on ``alg`` and, for ``SUITE``, the
+    ``SeriesReport`` ``r`` of the J on it: J itself, j0, the algebra's
+    step, the center and the five series are read from ``r``.
+    """
+
+    alg: LieAlgebra
+    s: Stratification | None
+    r: SeriesReport | None = None
+
+    @property
+    def strat_ok(self) -> bool:
+        return self.s is not None and stratification_verdict(self.alg, self.s).ok
 
 
 OBSTRUCTIONS = (
@@ -320,17 +349,22 @@ def stratification_obstructions(
     criterion's profile does not apply, a pass means the obstruction
     triggered and the stated object cannot exist.
     """
-    return evaluate(OBSTRUCTIONS, _facts(alg, s))
+    return evaluate(OBSTRUCTIONS, _Facts(alg, s))
+
+
+def _fixed(f, w: Subspace) -> bool:
+    """J w = w."""
+    return f.r.j.image(w) == w
 
 
 def _lower_series_invariant(f) -> bool:
-    return all(f.cs.image(c) == c for c in f.r.c_desc.terms)
+    return all(_fixed(f, c) for c in f.r.c_desc.terms)
 
 
 def _invariant_stratification_exists(f) -> bool:
     """Run the step-2 construction; building succeeds iff it self-verifies."""
     try:
-        return is_strata_preserving(f.cs, f.cs.step2_stratification)
+        return is_strata_preserving(f.r.j, f.r.j.step2_stratification)
     except (HypothesisNotMet, InconsistencyError):
         return False
 
@@ -338,18 +372,24 @@ def _invariant_stratification_exists(f) -> bool:
 def _large_twisted_top(f) -> bool:
     n2 = f.s.layer(2)
     l2 = n2.dim // 2
-    return n2.dim % 2 == 0 and l2 >= 2 and f.d1.dim <= 4 * l2 - 2 and f.cs.image(n2) != n2
+    return (
+        n2.dim % 2 == 0 and l2 >= 2 and f.r.d_asc.term(1).dim <= 4 * l2 - 2 and not _fixed(f, n2)
+    )
 
 
 def _third_layer_splits_d2(f) -> tuple[bool, str]:
     n3 = f.s.layer(3)
-    jn3 = f.cs.image(n3)
+    jn3 = f.r.j.image(n3)
     split = subspace_intersection(n3, jn3).is_zero() and f.r.d_desc.term(2) == subspace_sum(n3, jn3)
-    return f.j0 == 4 and split, f"j0 = {f.j0}"
+    return f.r.j0 == 4 and split, f"j0 = {f.r.j0}"
 
 
 def _j0_is(step: int):
-    return lambda f: (f.j0 == step, f"j0 = {f.j0}")
+    return lambda f: (f.r.j0 == step, f"j0 = {f.r.j0}")
+
+
+def _j0_is_algebra_step(f) -> bool:
+    return f.r.algebra_step is not None and f.r.j0 == f.r.algebra_step
 
 
 _TWO_DIM_TOP = (lambda f: f.strat_ok and f.s.step == 2 and f.s.layer(2).dim == 2,
@@ -359,48 +399,51 @@ SUITE = (
     # All lower central series terms J-invariant => p_j = c_j and j0 = k.
     Statement(
         "invariant_lower_series_pins_p_chain",
-        ((lambda f: f.k is not None and _lower_series_invariant(f),
+        ((lambda f: f.r.algebra_step is not None and _lower_series_invariant(f),
           "some lower central series term is not J-invariant"),),
-        lambda f: (f.r.c_desc == f.r.p_desc and f.j0 == f.k, f"j0 = {f.j0}, k = {f.k}"),
+        lambda f: (f.r.c_desc == f.r.p_desc and f.r.j0 == f.r.algebra_step,
+                   f"j0 = {f.r.j0}, k = {f.r.algebra_step}"),
     ),
     # Step-k J with c_{k-1} equal to the center => the center is J-invariant.
     Statement(
         "terminal_lower_term_forces_invariant_center",
-        ((lambda f: f.k is not None and f.j0 == f.k and f.r.c_desc.term(f.k - 1) == f.z,
+        ((lambda f: _j0_is_algebra_step(f)
+          and f.r.c_desc.term(f.r.algebra_step - 1) == f.r.center,
           "requires nilpotent J of the algebra's step and c_{k-1} = z"),),
-        lambda f: f.cs.image(f.z) == f.z,
+        lambda f: _fixed(f, f.r.center),
     ),
     # One-dimensional center => J cannot be nilpotent.
     Statement(
         "one_dim_center_forces_non_nilpotent",
-        ((lambda f: f.z.dim == 1, "center is not 1-dimensional"),),
-        lambda f: f.j0 is None,
+        ((lambda f: f.r.center.dim == 1, "center is not 1-dimensional"),),
+        lambda f: f.r.j0 is None,
     ),
     # Strata-preserving J on a stratified algebra => series J-invariant, j0 = step.
     Statement(
         "strata_preserving_pins_series",
-        ((lambda f: f.strat_ok and is_strata_preserving(f.cs, f.s),
+        ((lambda f: f.strat_ok and is_strata_preserving(f.r.j, f.s),
           "needs a stratification preserved by J"),),
-        lambda f: (_lower_series_invariant(f) and f.j0 == f.s.step, f"j0 = {f.j0}"),
+        lambda f: (_lower_series_invariant(f) and f.r.j0 == f.s.step, f"j0 = {f.r.j0}"),
     ),
     # Step-2 stratification with 2-dimensional top layer.
     Statement("two_dim_top_layer_step_two", (_TWO_DIM_TOP,), _j0_is(2)),
     Statement(
         "two_dim_top_layer_j_fixes_top",
-        (_TWO_DIM_TOP, (lambda f: f.d1.dim == 2, "z ∩ Jz is not 2-dimensional")),
-        lambda f: f.cs.image(f.s.layer(2)) == f.s.layer(2),
+        (_TWO_DIM_TOP, (lambda f: f.r.d_asc.term(1).dim == 2, "z ∩ Jz is not 2-dimensional")),
+        lambda f: _fixed(f, f.s.layer(2)),
     ),
     Statement(
         "two_dim_top_center_or_strata_preserving",
         (_TWO_DIM_TOP,),
-        lambda f: f.cs.image(f.s.layer(2)) == f.s.layer(2) or f.cs.image(f.z) == f.z,
+        lambda f: _fixed(f, f.s.layer(2)) or _fixed(f, f.r.center),
     ),
     Statement(
         "two_dim_top_invariant_stratification_exists",
         (_TWO_DIM_TOP,
-         (lambda f: 2 <= f.z.dim <= 3 or (f.z.dim == 4 and f.cs.image(f.z) != f.z),
+         (lambda f: 2 <= f.r.center.dim <= 3
+          or (f.r.center.dim == 4 and not _fixed(f, f.r.center)),
           "center dimension profile out of range")),
-        lambda f: f.cs.image(f.s.layer(2)) == f.s.layer(2) and _invariant_stratification_exists(f),
+        lambda f: _fixed(f, f.s.layer(2)) and _invariant_stratification_exists(f),
     ),
     # Step-2 stratification with top layer of dimension 2l (l >= 2), small
     # z ∩ Jz, and J not fixing the top layer => J nilpotent of step 3.
@@ -414,25 +457,24 @@ SUITE = (
     # layer and 2-dimensional z ∩ Jz => J fixes the terminal layer.
     Statement(
         "two_dim_terminal_layer_preserved",
-        ((lambda f: f.strat_ok and f.j0 == f.s.step and f.s.layer(f.s.step).dim == 2
-          and f.d1.dim == 2,
+        ((lambda f: f.strat_ok and f.r.j0 == f.s.step and f.s.layer(f.s.step).dim == 2
+          and f.r.d_asc.term(1).dim == 2,
           "needs nilpotent J of the stratification step with 2-dimensional terminal layer"
           " and z ∩ Jz"),),
-        lambda f: f.cs.image(f.s.layer(f.s.step)) == f.s.layer(f.s.step),
+        lambda f: _fixed(f, f.s.layer(f.s.step)),
     ),
     # Six-dimensional step-2 algebra with 2-dimensional derived subalgebra
     # admits a J-invariant stratification.
     Statement(
         "six_dim_small_derived_invariant_stratification",
-        ((lambda f: f.alg.dim == 6 and f.k == 2 and f.r.c_desc.term(1).dim == 2,
+        ((lambda f: f.alg.dim == 6 and f.r.algebra_step == 2 and f.r.c_desc.term(1).dim == 2,
           "needs dim 6, step 2, 2-dimensional derived subalgebra"),),
-        lambda f: (f.cs.image(f.r.c_desc.term(1)) == f.r.c_desc.term(1)
-                   and _invariant_stratification_exists(f)),
+        lambda f: _fixed(f, f.r.c_desc.term(1)) and _invariant_stratification_exists(f),
     ),
     # Step-3 stratification with J-fixed third layer => J nilpotent of step 3.
     Statement(
         "fixed_third_layer_step_three",
-        ((lambda f: f.strat_ok and f.s.step == 3 and f.cs.image(f.s.layer(3)) == f.s.layer(3),
+        ((lambda f: f.strat_ok and f.s.step == 3 and _fixed(f, f.s.layer(3)),
           "needs a step-3 stratification with J n_3 = n_3"),),
         _j0_is(3),
     ),
@@ -442,8 +484,8 @@ SUITE = (
     Statement(
         "eight_dim_twisted_third_layer_step_four",
         ((lambda f: f.strat_ok and f.s.step == 3 and f.alg.dim == 8 and f.s.layer(3).dim == 2
-          and f.r.c_desc.term(1).dim == 4 and f.cs.image(f.s.layer(3)) != f.s.layer(3)
-          and f.z.dim <= 3,
+          and f.r.c_desc.term(1).dim == 4 and not _fixed(f, f.s.layer(3))
+          and f.r.center.dim <= 3,
           "needs dim 8, step-3 stratification, dim n_3 = 2, dim [n, n] = 4, J n_3 != n_3,"
           " dim z <= 3"),),
         _third_layer_splits_d2,
@@ -459,5 +501,4 @@ def theorem_suite(cs: ComplexStructure, s: Stratification | None = None) -> list
     stratification are skipped (hypothesis_not_met) when none is supplied.
     """
     r = cs.series
-    facts = _facts(r.algebra, s, cs=cs, r=r, j0=r.j0, k=r.algebra_step, z=r.center, d1=r.d_asc.term(1))
-    return evaluate(SUITE, facts)
+    return evaluate(SUITE, _Facts(r.algebra, s, r))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from liecs import (
     catalog_names,
     change_of_basis,
     image_subspace,
+    validate,
     validate_almost_complex,
 )
 
@@ -188,6 +190,35 @@ def direct_sum(entry, copies: int) -> CatalogEntry:
         (("block", validate_almost_complex(alg, Matrix.from_rows(block_j))),),
         (("block", Stratification(layers)),),
     )
+
+
+def jacobi_violating(rng: random.Random) -> LieAlgebra:
+    """A scrambled kt4 with one structure constant raised by 1 until Jacobi fails."""
+    kt4 = builtin("kt4")
+    alg, _, _ = conjugate_entry(kt4, random_invertible(rng, kt4.algebra.dim))
+    while True:
+        i, j, coeffs = rng.choice(alg.structure)
+        perturbed = list(coeffs)
+        perturbed[rng.randrange(alg.dim)] += 1
+        structure = tuple(
+            (a, b, tuple(perturbed) if (a, b) == (i, j) else c) for a, b, c in alg.structure
+        )
+        candidate = LieAlgebra(alg.dim, structure)
+        if not validate(candidate).ok:
+            return candidate
+
+
+def tilted_strata(entry: CatalogEntry) -> CatalogEntry:
+    """The entry with its first layer's first row moved by the second layer's first row.
+
+    The layers stay a direct sum, but [n_1, n_1] is no longer the given
+    second layer, so the stratification is invalid.
+    """
+    layers = entry.primary_stratification.layers
+    rows = [list(r) for r in layers[0].basis_rows()]
+    rows[0] = [a + b for a, b in zip(rows[0], layers[1].basis_rows()[0])]
+    tilted = Subspace.from_rows(entry.algebra.dim, rows)
+    return replace(entry, stratifications=(("tilted", Stratification((tilted, *layers[1:]))),))
 
 
 @pytest.fixture(scope="session")

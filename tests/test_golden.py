@@ -27,21 +27,18 @@ import random
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
-from liecs import (
-    CatalogEntry,
-    LieAlgebra,
-    Stratification,
-    Subspace,
-    builtin,
-    catalog_names,
-    serialize_algebra,
-)
+from liecs import builtin, catalog_names, serialize_algebra
 from liecs.cli import main
 
-from conftest import conjugate_entry, direct_sum, random_invertible
+from conftest import (
+    conjugate_entry,
+    direct_sum,
+    jacobi_violating,
+    random_invertible,
+    tilted_strata,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = ("validate", "series", "classify", "suite", "report")
@@ -51,35 +48,6 @@ STATUS_FILE = "exit_status.json"
 
 def _nilpotent_entries() -> list[str]:
     return [name for name in catalog_names() if builtin(name).expected["step"] is not None]
-
-
-def jacobi_violating(rng: random.Random) -> LieAlgebra:
-    """A scrambled kt4 with one structure constant raised by 1 until Jacobi fails."""
-    kt4 = builtin("kt4")
-    alg, _, _ = conjugate_entry(kt4, random_invertible(rng, kt4.algebra.dim))
-    while True:
-        i, j, coeffs = rng.choice(alg.structure)
-        perturbed = list(coeffs)
-        perturbed[rng.randrange(alg.dim)] += 1
-        structure = tuple(
-            (a, b, tuple(perturbed) if (a, b) == (i, j) else c) for a, b, c in alg.structure
-        )
-        candidate = LieAlgebra(alg.dim, structure)
-        if not candidate.validation.ok:
-            return candidate
-
-
-def tilted_strata(entry: CatalogEntry) -> CatalogEntry:
-    """The entry with its first layer's first row moved by the second layer's first row.
-
-    The layers stay a direct sum, but [n_1, n_1] is no longer the given
-    second layer, so the stratification is invalid.
-    """
-    layers = entry.primary_stratification.layers
-    rows = [list(r) for r in layers[0].basis_rows()]
-    rows[0] = [a + b for a, b in zip(rows[0], layers[1].basis_rows()[0])]
-    tilted = Subspace.from_rows(entry.algebra.dim, rows)
-    return replace(entry, stratifications=(("tilted", Stratification((tilted, *layers[1:]))),))
 
 
 def _write_scrambles(workdir: Path) -> list[tuple[str, str]]:

@@ -252,6 +252,17 @@ def test_complement_rejects_non_spd_gram():
         orthogonal_complement(span(2, [1, 0]), Matrix.from_rows([[1, 1], [0, 1]]))
 
 
+def test_complement_rejects_semidefinite_and_indefinite_symmetric_grams():
+    # Symmetric, so only the positive-definiteness check can reject them:
+    # [[1, 1], [1, 1]] is singular, and the second is congruent to diag(1, -2, 3).
+    singular = Matrix.from_rows([[1, 1], [1, 1]])
+    indefinite = congruent_diagonal([1, -2, 3], [[1, 1, 2], [0, 1, -1], [0, 0, 1]])
+    for gram in (singular, indefinite):
+        assert gram.is_symmetric()
+        with pytest.raises(ValueError, match="not positive definite"):
+            orthogonal_complement(Subspace.full(gram.rows), gram)
+
+
 def test_is_positive_definite():
     assert is_positive_definite(Matrix.diagonal([1, 2, 3]))
     assert not is_positive_definite(Matrix.diagonal([1, 0]))

@@ -106,6 +106,26 @@ def test_build_step2_with_random_spd_forms(name, rng):
         assert is_strata_preserving(entry.primary_structure, s)
 
 
+def test_build_step2_checks_positive_definiteness_of_phi_only(monkeypatch, rng):
+    # psi = phi + Jᵀ·phi·J is SPD whenever phi is, so the construction
+    # proves it once, on phi, and takes the complement unchecked.
+    from liecs import complex_structure, linalg
+
+    checked, check = [], linalg.is_positive_definite
+
+    def counting(gram):
+        checked.append(gram)
+        return check(gram)
+
+    monkeypatch.setattr(complex_structure, "is_positive_definite", counting)
+    monkeypatch.setattr(linalg, "is_positive_definite", counting)
+    entry = builtin("ch6")
+    phi = random_spd(rng, 6)
+    s = build_step2_j_stratification(entry.primary_structure, phi)
+    assert checked == [phi]
+    assert verify_stratification(entry.algebra, s).ok
+
+
 def test_build_step2_fails_on_kt4():
     entry = builtin("kt4")
     with pytest.raises(HypothesisNotMet, match="J-invariant"):
