@@ -49,6 +49,24 @@ and the stratification checks ask for [g, g] repeatedly), each
 centralizer step Z(prev) (both ascending series start with Z(0), the
 center), and in other modules each J-image and stratification verdict.
 Public computations such as ``validate`` stay uncached.
+
+The report decides its facts in a second basis, chosen here once per
+algebra: ``LieAlgebra.twin`` (``adapted_input``) takes the canonical
+rows of each term of the lower central series, computed in the input
+basis, and moves the bracket into the basis they form (an
+``AdaptedInput``).  There every c_j is a coordinate subspace and the
+tensor is block-triangular: the scrambled ch6⊕ch6⊕ch6 has 2,754 nonzero
+constants and its twin 396.  An input whose series terms are coordinate
+subspaces already is its own twin.  Decided on the twin: the cached
+``validation`` and ``ascending_series``, the parse gate's stratification
+verdict, and every fact of a complex structure that
+``report.build_report`` reads (its series, integrability, special flags,
+step-2 stratification, classification and theorem suite; J and the
+strata are moved once).  The subspaces go back to the input basis at one
+boundary in ``report``.  A failure witness depends on the basis, so a
+failing Jacobi or Nijenhuis check is run again in the input basis, with
+the public ``validate`` and ``is_integrable``, for its triples, pairs and
+residuals.
 """
 
 from __future__ import annotations
