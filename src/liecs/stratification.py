@@ -388,10 +388,6 @@ def _j0_is(step: int):
     return lambda f: (f.r.j0 == step, f"j0 = {f.r.j0}")
 
 
-def _j0_is_algebra_step(f) -> bool:
-    return f.r.algebra_step is not None and f.r.j0 == f.r.algebra_step
-
-
 _TWO_DIM_TOP = (lambda f: f.strat_ok and f.s.step == 2 and f.s.layer(2).dim == 2,
                 "needs a step-2 stratification with 2-dimensional top layer")
 
@@ -407,7 +403,7 @@ SUITE = (
     # Step-k J with c_{k-1} equal to the center => the center is J-invariant.
     Statement(
         "terminal_lower_term_forces_invariant_center",
-        ((lambda f: _j0_is_algebra_step(f)
+        ((lambda f: f.r.algebra_step is not None and f.r.j0 == f.r.algebra_step
           and f.r.c_desc.term(f.r.algebra_step - 1) == f.r.center,
           "requires nilpotent J of the algebra's step and c_{k-1} = z"),),
         lambda f: _fixed(f, f.r.center),
