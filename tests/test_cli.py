@@ -172,6 +172,51 @@ def test_unreadable_input_exits_one_in_band(tmp_path, make_input, message):
     assert message in doc["errors"][0]
 
 
+ERROR_DOCUMENTS = {
+    ("report", "json"): (
+        "{\n"
+        '  "command": "report",\n'
+        '  "errors": [\n'
+        "    \"cannot read input 'somedir': Is a directory\"\n"
+        "  ],\n"
+        '  "ok": false,\n'
+        '  "schema": "liecs.report/1",\n'
+        '  "source": "somedir"\n'
+        "}\n"
+    ),
+    ("report", "markdown"): (
+        "# liecs report: somedir\n\n\n## Errors\n\n"
+        "- cannot read input 'somedir': Is a directory\n\noverall: FAILED\n"
+    ),
+    ("search", "json"): (
+        "{\n"
+        '  "command": "search",\n'
+        '  "errors": [\n'
+        '    "odd dimension 3: no almost-complex structure exists"\n'
+        "  ],\n"
+        '  "found": false,\n'
+        '  "ok": false,\n'
+        '  "schema": "liecs.search/1",\n'
+        '  "source": "nn3"\n'
+        "}\n"
+    ),
+    ("search", "markdown"): (
+        "# liecs search: nn3\n\n\n## Errors\n\n"
+        "- odd dimension 3: no almost-complex structure exists\n\noverall: FAILED\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd,fmt", sorted(ERROR_DOCUMENTS))
+def test_error_documents_are_pinned(tmp_path, monkeypatch, capsys, cmd, fmt):
+    # an unreadable input (a directory) for report, an odd dimension for search
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "somedir").mkdir()
+    source = "somedir" if cmd == "report" else "nn3"
+    assert main(["-i", source, "--cmd", cmd, "--format", fmt]) == 1
+    assert capsys.readouterr().out == ERROR_DOCUMENTS[cmd, fmt]
+
+
 def test_repeated_key_exits_one_in_band(tmp_path):
     path = _write(
         tmp_path / "repeated.json",

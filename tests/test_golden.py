@@ -11,7 +11,9 @@ the violated triple of the file's basis), and an rf8 whose first layer
 is tilted into the second (the report names the stratification property
 and layer that fail).  Both exit 1.  The outputs, the scrambled input files and
 the exit statuses (``exit_status.json``) must equal the files committed
-under ``tests/golden/``.
+under ``tests/golden/``.  ``tests/golden/catalog/`` pins every builtin
+itself: its algebra file with each named J and stratification, and its
+``expected`` facts.
 
 A golden file changes only together with an explanation of each diff in
 ``CHANGES.md``.  Regenerate all of them with
@@ -73,6 +75,25 @@ def _write_scrambles(workdir: Path) -> list[tuple[str, str]]:
     return inputs
 
 
+def _write_catalog(workdir: Path) -> None:
+    """Write every builtin under ``catalog/``, so a change to an entry shows as a diff.
+
+    ``<entry>[.<J name>][.<strata name>].json`` is the algebra file with that
+    named J and stratification (``nn3.json``, with neither, is the algebra
+    alone), and ``<entry>.expected.json`` holds the entry's expected facts.
+    """
+    (workdir / "catalog").mkdir()
+    for name in catalog_names():
+        entry = builtin(name)
+        for j_name, cs in entry.complex_structures or [(None, None)]:
+            for s_name, strat in entry.stratifications or [(None, None)]:
+                stem = ".".join(part for part in (name, j_name, s_name) if part)
+                data = serialize_algebra(entry.algebra, cs, strat)
+                (workdir / "catalog" / f"{stem}.json").write_bytes(data)
+        expected = json.dumps(entry.expected, indent=2, sort_keys=True) + "\n"
+        (workdir / "catalog" / f"{name}.expected.json").write_text(expected)
+
+
 def render(workdir: Path) -> dict[str, bytes]:
     """Produce every golden file inside the empty directory ``workdir``.
 
@@ -97,6 +118,7 @@ def render(workdir: Path) -> dict[str, bytes]:
     finally:
         os.chdir(previous)
     (workdir / STATUS_FILE).write_text(json.dumps(status, indent=2, sort_keys=True) + "\n")
+    _write_catalog(workdir)
     return {
         path.relative_to(workdir).as_posix(): path.read_bytes()
         for path in sorted(workdir.rglob("*"))
