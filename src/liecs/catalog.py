@@ -1,19 +1,9 @@
 """Built-in example algebras with known complex structures and gradings.
 
-The ``expected`` facts stored on each entry are documentation and test
+Every entry is one row of ``_TABLE``, read by ``builtin``.  The
+``expected`` facts stored on each entry are documentation and test
 oracles: the test suite re-derives every one of them through the library
 and fails on any mismatch, so the catalog can never drift from the code.
-
-Entries:
-
-    a4   abelian, dim 4
-    kt4  dim 4, [e1,e2] = e3 (Kodaira-Thurston algebra)
-    ch6  dim 6 complex Heisenberg algebra
-    hh6  dim 6, two copies of the Heisenberg algebra h3
-    fr6  dim 6 free 2-step nilpotent algebra on 3 generators
-    rf8  dim 8 realification of the complex filiform algebra of step 3
-    f4   dim 4 filiform, [e1,e2] = e3, [e1,e3] = e4 (1-dimensional center)
-    nn3  dim 3 non-nilpotent (sl2-type), for negative tests
 
 fr6 carries the standard block structure, which is integrable there and
 realizes the "proper nonzero n_2 ∩ J n_2" case: the only catalog entry
@@ -62,22 +52,17 @@ def standard_block_j(dim: int) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def _span(dim: int, *indices: int) -> Subspace:
-    """Span of 1-based standard basis vectors."""
-    rows = [[1 if j == i - 1 else 0 for j in range(dim)] for i in indices]
-    return Subspace.from_rows(dim, rows)
-
-
-def _a4() -> CatalogEntry:
-    alg = LieAlgebra.from_brackets(4, {})
-    j = validate_almost_complex(alg, standard_block_j(4))
-    strat = Stratification((Subspace.full(4),))
-    return CatalogEntry(
-        name="a4",
-        algebra=alg,
-        complex_structures=(("standard", j),),
-        stratifications=(("canonical", strat),),
-        expected={
+# One row per entry, in plain literals, so that importing builds nothing.  A
+# row gives the dimension, the brackets {(i, j): {k: c}} meaning
+# [e_i, e_j] = Σ c·e_k (1-based), the layers of the stratification named
+# "canonical" as 1-based basis indices in increasing order, and the expected
+# facts.  Its complex structures are the standard block J0 under "standard",
+# unless the row names its own under "J": matrix rows, or None for J0.
+_TABLE = {
+    "a4": {  # abelian
+        "dim": 4, "brackets": {},
+        "layers": ((1, 2, 3, 4),),
+        "expected": {
             "step": 1,
             "j0": {"standard": 1},
             "integrable": {"standard": True},
@@ -85,19 +70,11 @@ def _a4() -> CatalogEntry:
             "bi_invariant_j": {"standard": True},
             "center_dim": 4,
         },
-    )
-
-
-def _kt4() -> CatalogEntry:
-    alg = LieAlgebra.from_brackets(4, {(1, 2): {3: 1}})
-    j = validate_almost_complex(alg, standard_block_j(4))
-    strat = Stratification((_span(4, 1, 2, 4), _span(4, 3)))
-    return CatalogEntry(
-        name="kt4",
-        algebra=alg,
-        complex_structures=(("standard", j),),
-        stratifications=(("canonical", strat),),
-        expected={
+    },
+    "kt4": {  # the Kodaira-Thurston algebra
+        "dim": 4, "brackets": {(1, 2): {3: 1}},
+        "layers": ((1, 2, 4), (3,)),
+        "expected": {
             "step": 2,
             "j0": {"standard": 2},
             "integrable": {"standard": True},
@@ -107,27 +84,11 @@ def _kt4() -> CatalogEntry:
             "step2_case": {"standard": "k_zero"},
             "center_preserving": {"standard": True},
         },
-    )
-
-
-def _ch6() -> CatalogEntry:
-    alg = LieAlgebra.from_brackets(
-        6,
-        {
-            (1, 3): {5: 1},
-            (1, 4): {6: 1},
-            (2, 3): {6: 1},
-            (2, 4): {5: -1},
-        },
-    )
-    j = validate_almost_complex(alg, standard_block_j(6))
-    strat = Stratification((_span(6, 1, 2, 3, 4), _span(6, 5, 6)))
-    return CatalogEntry(
-        name="ch6",
-        algebra=alg,
-        complex_structures=(("standard", j),),
-        stratifications=(("canonical", strat),),
-        expected={
+    },
+    "ch6": {  # the complex Heisenberg algebra
+        "dim": 6, "brackets": {(1, 3): {5: 1}, (1, 4): {6: 1}, (2, 3): {6: 1}, (2, 4): {5: -1}},
+        "layers": ((1, 2, 3, 4), (5, 6)),
+        "expected": {
             "step": 2,
             "j0": {"standard": 2},
             "integrable": {"standard": True},
@@ -137,34 +98,24 @@ def _ch6() -> CatalogEntry:
             "step2_case": {"standard": "k_full"},
             "strata_preserving": {"standard": True},
         },
-    )
-
-
-def _hh6() -> CatalogEntry:
-    alg = LieAlgebra.from_brackets(6, {(1, 2): {5: 1}, (3, 4): {6: 1}})
-    j_std = validate_almost_complex(alg, standard_block_j(6))
-    # Pairs e1 with e3 and e2 with e4 instead of the bracket-compatible
-    # pairing; this one fails integrability with witness pair (1, 2).
-    j_swapped = validate_almost_complex(
-        alg,
-        Matrix.from_rows(
-            [
-                [0, 0, -1, 0, 0, 0],
-                [0, 0, 0, -1, 0, 0],
-                [1, 0, 0, 0, 0, 0],
-                [0, 1, 0, 0, 0, 0],
-                [0, 0, 0, 0, 0, -1],
-                [0, 0, 0, 0, 1, 0],
-            ]
-        ),
-    )
-    strat = Stratification((_span(6, 1, 2, 3, 4), _span(6, 5, 6)))
-    return CatalogEntry(
-        name="hh6",
-        algebra=alg,
-        complex_structures=(("standard", j_std), ("axis_swapped", j_swapped)),
-        stratifications=(("canonical", strat),),
-        expected={
+    },
+    "hh6": {  # two copies of the Heisenberg algebra h3
+        "dim": 6, "brackets": {(1, 2): {5: 1}, (3, 4): {6: 1}},
+        "J": {
+            "standard": None,
+            # Pairs e1 with e3 and e2 with e4 instead of the bracket-compatible
+            # pairing; this one fails integrability with witness pair (1, 2).
+            "axis_swapped": (
+                (0, 0, -1, 0, 0, 0),
+                (0, 0, 0, -1, 0, 0),
+                (1, 0, 0, 0, 0, 0),
+                (0, 1, 0, 0, 0, 0),
+                (0, 0, 0, 0, 0, -1),
+                (0, 0, 0, 0, 1, 0),
+            ),
+        },
+        "layers": ((1, 2, 3, 4), (5, 6)),
+        "expected": {
             "step": 2,
             "j0": {"standard": 2},
             "integrable": {"standard": True, "axis_swapped": False},
@@ -174,26 +125,11 @@ def _hh6() -> CatalogEntry:
             "step2_case": {"standard": "k_full"},
             "strata_preserving": {"standard": True},
         },
-    )
-
-
-def _fr6() -> CatalogEntry:
-    alg = LieAlgebra.from_brackets(
-        6,
-        {
-            (1, 2): {4: 1},
-            (1, 3): {5: 1},
-            (2, 3): {6: 1},
-        },
-    )
-    j = validate_almost_complex(alg, standard_block_j(6))
-    strat = Stratification((_span(6, 1, 2, 3), _span(6, 4, 5, 6)))
-    return CatalogEntry(
-        name="fr6",
-        algebra=alg,
-        complex_structures=(("standard", j),),
-        stratifications=(("canonical", strat),),
-        expected={
+    },
+    "fr6": {  # the free 2-step nilpotent algebra on 3 generators
+        "dim": 6, "brackets": {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 3): {6: 1}},
+        "layers": ((1, 2, 3), (4, 5, 6)),
+        "expected": {
             "step": 2,
             "j0": {"standard": 3},
             "integrable": {"standard": True},
@@ -204,32 +140,16 @@ def _fr6() -> CatalogEntry:
             "strata_preserving": {"standard": False},
             "center_preserving": {"standard": False},
         },
-    )
-
-
-def _rf8() -> CatalogEntry:
-    # z1 = e1 + i e2, z2 = e3 + i e4, z3 = e5 + i e6, z4 = e7 + i e8
-    alg = LieAlgebra.from_brackets(
-        8,
-        {
-            (1, 3): {5: 1},
-            (1, 4): {6: 1},
-            (2, 3): {6: 1},
-            (2, 4): {5: -1},
-            (1, 5): {7: 1},
-            (1, 6): {8: 1},
-            (2, 5): {8: 1},
-            (2, 6): {7: -1},
+    },
+    "rf8": {  # the realified complex filiform algebra of step 3
+        # z1 = e1 + i e2, z2 = e3 + i e4, z3 = e5 + i e6, z4 = e7 + i e8
+        "dim": 8,
+        "brackets": {
+            (1, 3): {5: 1}, (1, 4): {6: 1}, (2, 3): {6: 1}, (2, 4): {5: -1},
+            (1, 5): {7: 1}, (1, 6): {8: 1}, (2, 5): {8: 1}, (2, 6): {7: -1},
         },
-    )
-    j = validate_almost_complex(alg, standard_block_j(8))
-    strat = Stratification((_span(8, 1, 2, 3, 4), _span(8, 5, 6), _span(8, 7, 8)))
-    return CatalogEntry(
-        name="rf8",
-        algebra=alg,
-        complex_structures=(("standard", j),),
-        stratifications=(("canonical", strat),),
-        expected={
+        "layers": ((1, 2, 3, 4), (5, 6), (7, 8)),
+        "expected": {
             "step": 3,
             "j0": {"standard": 3},
             "integrable": {"standard": True},
@@ -237,60 +157,48 @@ def _rf8() -> CatalogEntry:
             "bi_invariant_j": {"standard": True},
             "center_dim": 2,
         },
-    )
-
-
-def _f4() -> CatalogEntry:
-    alg = LieAlgebra.from_brackets(4, {(1, 2): {3: 1}, (1, 3): {4: 1}})
-    j = validate_almost_complex(alg, standard_block_j(4))
-    strat = Stratification((_span(4, 1, 2), _span(4, 3), _span(4, 4)))
-    return CatalogEntry(
-        name="f4",
-        algebra=alg,
-        complex_structures=(("standard", j),),
-        stratifications=(("canonical", strat),),
-        expected={
+    },
+    "f4": {  # filiform, with a 1-dimensional center
+        "dim": 4, "brackets": {(1, 2): {3: 1}, (1, 3): {4: 1}},
+        "layers": ((1, 2), (3,), (4,)),
+        "expected": {
             "step": 3,
             "j0": {"standard": None},
             "integrable": {"standard": False},
             "center_dim": 1,
         },
-    )
-
-
-def _nn3() -> CatalogEntry:
-    alg = LieAlgebra.from_brackets(
-        3, {(1, 2): {3: 1}, (1, 3): {1: -2}, (2, 3): {2: 2}}
-    )
-    return CatalogEntry(
-        name="nn3",
-        algebra=alg,
-        complex_structures=(),
-        stratifications=(),
-        expected={"step": None, "center_dim": 0},
-    )
-
-
-_BUILDERS = {
-    "a4": _a4,
-    "kt4": _kt4,
-    "ch6": _ch6,
-    "hh6": _hh6,
-    "fr6": _fr6,
-    "rf8": _rf8,
-    "f4": _f4,
-    "nn3": _nn3,
+    },
+    "nn3": {  # non-nilpotent (sl2-type), for negative tests
+        "dim": 3, "brackets": {(1, 2): {3: 1}, (1, 3): {1: -2}, (2, 3): {2: 2}},
+        "J": {},
+        "expected": {"step": None, "center_dim": 0},
+    },
 }
 
 
 def catalog_names() -> list[str]:
-    return sorted(_BUILDERS)
+    return sorted(_TABLE)
 
 
 def builtin(name: str) -> CatalogEntry:
-    """Return the named catalog entry, or raise KeyError for unknown names."""
+    """Build the named catalog entry afresh, or raise KeyError for unknown names."""
     try:
-        builder = _BUILDERS[name]
+        row = _TABLE[name]
     except KeyError:
         raise KeyError(f"unknown catalog entry {name!r}; available: {', '.join(catalog_names())}")
-    return builder()
+    dim = row["dim"]
+    alg = LieAlgebra.from_brackets(dim, row["brackets"])
+    structures = []
+    for j_name, rows in row.get("J", {"standard": None}).items():
+        matrix = standard_block_j(dim) if rows is None else Matrix.from_rows(rows)
+        structures.append((j_name, validate_almost_complex(alg, matrix)))
+    layers = tuple(_span(dim, indices) for indices in row.get("layers", ()))
+    strata = (("canonical", Stratification(layers)),) if layers else ()
+    # copied, so that no two entries share a dict with each other or the table
+    expected = {key: dict(v) if isinstance(v, dict) else v for key, v in row["expected"].items()}
+    return CatalogEntry(name, alg, tuple(structures), strata, expected)
+
+
+def _span(dim: int, indices: tuple[int, ...]) -> Subspace:
+    """The coordinate subspace on 1-based increasing indices, built in canonical form."""
+    return Subspace(dim, tuple(tuple(int(j == i - 1) for j in range(dim)) for i in indices))

@@ -33,6 +33,31 @@ def test_unknown_name_raises():
         builtin("heis5")
 
 
+def test_every_call_builds_a_fresh_entry():
+    # a shared entry would share memoized facts (validation, the twin) and dicts
+    for name in catalog_names():
+        first, second = builtin(name), builtin(name)
+        assert first == second
+        assert first.algebra is not second.algebra
+        assert first.expected is not second.expected
+        for key, value in first.expected.items():
+            assert not isinstance(value, dict) or value is not second.expected[key]
+
+
+def test_catalog_table_holds_plain_literals():
+    # so importing liecs builds no algebra, matrix or subspace
+    from liecs.catalog import _TABLE
+
+    def plain(value):
+        if isinstance(value, dict):
+            return all(plain(k) and plain(v) for k, v in value.items())
+        if isinstance(value, tuple):
+            return all(map(plain, value))
+        return value is None or isinstance(value, (int, str))
+
+    assert plain(_TABLE)
+
+
 def test_every_entry_validates_and_structures_bind():
     for name in catalog_names():
         entry = builtin(name)
