@@ -224,16 +224,6 @@ class LieAlgebra:
                 out.append(unpack(sum(b * left[j] for j, b in enumerate(v) if b), width, n))
         return out
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] for any pair of basis indices (0-based)."""
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise ValueError(f"basis pair ({i}, {j}) out of range for dimension {self.dim}")
-        d, rows = self.tensor
-        out = [Fraction(0)] * self.dim
-        for k, c in rows[i][j]:
-            out[k] = Fraction(c, d)
-        return tuple(out)
-
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """Bilinear extension of the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:

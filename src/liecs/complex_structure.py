@@ -55,9 +55,6 @@ class ComplexStructure:
     algebra: LieAlgebra
     matrix: Matrix
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        return self.matrix.matvec(v)
-
     @memoized
     def image(self, w: Subspace) -> Subspace:
         """The subspace J(w), computed once per w (``linalg.image_subspace``)."""

@@ -75,12 +75,6 @@ def test_bracket_bilinear_expansion(kt4):
     assert kt4.bracket(x, basis_vector(4, 1)) == basis_vector(4, 2)
 
 
-@pytest.mark.parametrize("pair", [(-1, 0), (0, 4), (4, 4)])
-def test_bracket_basis_rejects_out_of_range_indices(kt4, pair):
-    with pytest.raises(ValueError, match="out of range"):
-        kt4.bracket_basis(*pair)
-
-
 def test_bracket_length_mismatch(kt4):
     with pytest.raises(ValueError, match="length"):
         kt4.bracket((Fraction(1),), basis_vector(4, 0))
@@ -362,12 +356,12 @@ def test_change_of_basis_identity(kt4):
 def test_change_of_basis_swap(kt4):
     p = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     swapped = change_of_basis(kt4, p)
-    assert swapped.bracket_basis(0, 1) == basis_vector(4, 3)
+    assert swapped.bracket(basis_vector(4, 0), basis_vector(4, 1)) == basis_vector(4, 3)
 
 
 def test_change_of_basis_scaling(kt4):
     doubled = change_of_basis(kt4, Matrix.identity(4).scale(2))
-    assert doubled.bracket_basis(0, 1) == tuple(
+    assert doubled.bracket(basis_vector(4, 0), basis_vector(4, 1)) == tuple(
         Fraction(1, 2) if k == 2 else Fraction(0) for k in range(4)
     )
 
