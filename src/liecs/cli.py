@@ -95,16 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _SearchOutcome:
-    """Minimal report wrapper so the search shares the serializers."""
-
-    def __init__(self, doc: dict):
-        self._doc = doc
-
-    def to_dict(self) -> dict:
-        return self._doc
-
-
 def _load_input(raw: str):
     path = Path(raw)
     try:
@@ -149,7 +139,7 @@ def _run_search(args, source, alg) -> tuple[bytes, int]:
             "found": False,
             "errors": [str(exc)],
         }
-        return serialize_report(_SearchOutcome(doc), args.format), 1
+        return serialize_report(doc, args.format), 1
     doc = {
         "schema": "liecs.search/1",
         "command": "search",
@@ -186,7 +176,7 @@ def _run(args) -> tuple[bytes, int]:
             "ok": False,
             "errors": [str(exc)],
         }
-        return serialize_report(_SearchOutcome(doc), args.format), 1
+        return serialize_report(doc, args.format), 1
 
     if args.cmd == "search":
         return _run_search(args, source, alg)

@@ -269,11 +269,11 @@ SERIES = (
 def serialize_report(report, fmt: str = "json") -> bytes:
     """Render a report deterministically as JSON or markdown.
 
-    ``report`` is anything exposing ``to_dict()`` (see ``liecs.report``).
-    JSON output round-trips: loading the bytes and re-serializing the
-    resulting document is byte-identical.
+    ``report`` is a report document (a dict) or anything exposing
+    ``to_dict()`` (see ``liecs.report``).  JSON output round-trips: loading
+    the bytes and re-serializing the resulting document is byte-identical.
     """
-    doc = report.to_dict()
+    doc = report if isinstance(report, dict) else report.to_dict()
     if fmt == "json":
         return _dump_json(doc)
     if fmt == "markdown":

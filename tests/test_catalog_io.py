@@ -297,9 +297,13 @@ def test_report_serialization_deterministic():
 
 
 def test_report_json_round_trips():
-    data = serialize_report(full_report("ch6"), "json")
+    report = full_report("ch6")
+    data = serialize_report(report, "json")
     doc = json.loads(data)
     assert (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode() == data
+    # the loaded document renders as the report does
+    assert serialize_report(doc, "json") == data
+    assert serialize_report(doc, "markdown") == serialize_report(report, "markdown")
 
 
 def test_report_markdown_contains_series_tables():
