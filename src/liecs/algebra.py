@@ -1,20 +1,18 @@
 """Lie algebras given by rational structure constants.
 
-An algebra is stored sparsely: the bracket [e_i, e_j] is kept only for
-i < j, so antisymmetry holds by construction and [e_i, e_i] = 0 is not a
-representable input.  The Jacobi identity is *not* assumed; it is checked
-by :func:`validate`, and every downstream computation expects a validated
-algebra.
-
-Every bracket computation reads one representation, ``LieAlgebra.tensor``:
-the least common denominator D of the structure constants and, for every
-ordered pair (i, j), the sparse integer row of D·[e_i, e_j].  Jacobi
-sums, Nijenhuis values, brackets of vectors and of subspaces, changes of
-basis and the ascending series are integer contractions of it; Python
-ints are unbounded, so nothing overflows.  A value leaves as a
-``Fraction`` only at the API boundary, divided by the power of D it
-carries and by the denominators of the ``linalg.Matrix`` operands it was
-computed from (``Matrix.den``).
+An algebra stores one form of its bracket, ``LieAlgebra.tensor``: the
+least common denominator D of the structure constants and, for every
+ordered pair (i, j), the sparse integer row of D·[e_i, e_j].  It is
+stored, not cached.  The constructor takes triples (i, j, [e_i, e_j])
+with i < j, so antisymmetry holds by construction, and clears them
+through ``linalg.Matrix``, the one place where rationals become integers,
+algebras included.  The form is canonical: two algebras are equal iff
+their brackets are, and ``LieAlgebra.structure`` is its ``Fraction``
+view.  Jacobi is *not* assumed; :func:`validate` checks it.  Every
+computation below is an integer contraction of the tensor (Python ints
+are unbounded), and a value leaves as a ``Fraction`` only at the API
+boundary, divided by the power of D it carries and by the ``Matrix.den``
+of the operands it was computed from.
 
 Every kernel reads the tensor packed: each row D·[e_a, e_b] becomes one
 int Σ c·2^(w·k) (``linalg.pack``, memoized per width by
@@ -62,11 +60,12 @@ subspaces already is its own twin.  Decided on the twin: the cached
 verdict, and every fact of a complex structure that
 ``report.build_report`` reads (its series, integrability, special flags,
 step-2 stratification, classification and theorem suite; J and the
-strata are moved once).  The subspaces go back to the input basis at one
-boundary in ``report``.  A failure witness depends on the basis, so a
-failing Jacobi or Nijenhuis check is run again in the input basis, with
-the public ``validate`` and ``is_integrable``, for its triples, pairs and
-residuals.
+strata are moved once).  The series terms go back to the input basis
+through ``AdaptedInput.chain_to_input``, in ``ascending_series`` here and
+in ``ComplexStructure.series``; ``report`` maps only k.  A failure
+witness depends on the basis, so a failing Jacobi or Nijenhuis check is
+run again in the input basis, with the public ``validate`` and
+``is_integrable``, for its triples, pairs and residuals.
 """
 
 from __future__ import annotations
@@ -74,15 +73,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from math import lcm
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import InconsistencyError
 from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    as_rational,
     image_subspace,
     int_kernel,
     int_matvec,
@@ -121,28 +118,41 @@ def _max_norm(rows: Sequence[Sequence[int]]) -> int:
     return max((sum(map(abs, r)) for r in rows), default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LieAlgebra:
     """Finite-dimensional Lie algebra over Q in a fixed basis.
 
-    ``structure`` lists (i, j, coefficients) triples with i < j (0-based):
-    [e_i, e_j] = sum_k coefficients[k] e_k.  Pairs with zero bracket are
-    omitted.
+    Built from (i, j, coefficients) triples, i < j (0-based), in any order:
+    [e_i, e_j] = Σ_k coefficients[k] e_k, a zero bracket given or omitted.
+    ``tensor`` is (D, rows): rows[i][j] lists the (k, c) with c ≠ 0 in
+    D·[e_i, e_j]; rows[j][i] is its negation and rows[i][i] is empty.
     """
 
     dim: int
-    structure: tuple[tuple[int, int, Vector], ...]
+    tensor: tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]
 
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, structure: Sequence[tuple[int, int, Sequence]]) -> None:
         seen = set()
-        for i, j, coeffs in self.structure:
-            if not (0 <= i < j < self.dim):
+        for i, j, coeffs in structure:
+            if not (0 <= i < j < dim):
                 raise ValueError(f"bracket pair ({i}, {j}) requires 0 <= i < j < dim")
-            if len(coeffs) != self.dim:
+            if len(coeffs) != dim:
                 raise ValueError(f"bracket ({i}, {j}) has {len(coeffs)} coefficients")
             if (i, j) in seen:
                 raise ValueError(f"duplicate bracket pair ({i}, {j})")
             seen.add((i, j))
+        constants = Matrix(len(structure), dim, [c for _, _, coeffs in structure for c in coeffs])
+        self._store(dim, [(i, j) for i, j, _ in structure], constants)
+
+    def _store(self, dim: int, pairs: Sequence[tuple[int, int]], constants: Matrix) -> None:
+        """Store ``constants`` as the tensor; ``Matrix`` has cleared them over D = den."""
+        rows = [[()] * dim for _ in range(dim)]
+        for (i, j), row in zip(pairs, constants.int_rows()):
+            if any(row):
+                rows[i][j] = tuple((k, c) for k, c in enumerate(row) if c)
+                rows[j][i] = tuple((k, -c) for k, c in rows[i][j])
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "tensor", (constants.den, tuple(map(tuple, rows))))
 
     @staticmethod
     def from_brackets(
@@ -157,34 +167,28 @@ class LieAlgebra:
         """
         shift = 1 if one_based else 0
         entries = []
-        for (i, j), out in sorted(brackets.items()):
-            i0, j0 = i - shift, j - shift
-            coeffs = [Fraction(0)] * dim
+        for (i, j), out in brackets.items():
+            coeffs = [0] * dim
             for k, c in out.items():
-                k0 = k - shift
-                if not 0 <= k0 < dim:
+                if not 0 <= k - shift < dim:
                     raise ValueError(f"output index {k} out of range in bracket ({i}, {j})")
-                coeffs[k0] = as_rational(c)
-            if any(c != 0 for c in coeffs):
-                entries.append((i0, j0, tuple(coeffs)))
-        return LieAlgebra(dim, tuple(entries))
+                coeffs[k - shift] = c
+            entries.append((i - shift, j - shift, coeffs))
+        return LieAlgebra(dim, entries)
+
+    def nonzero_rows(self) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
+        """(i, j, rows[i][j]) for each i < j with [e_i, e_j] ≠ 0, in (i, j) order."""
+        rows = self.tensor[1]
+        return ((i, j, r[j]) for i, r in enumerate(rows) for j in range(i + 1, self.dim) if r[j])
 
     @cached_property
-    def tensor(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
-        """The bracket as (D, rows): rows[i][j] is the sparse row of D·[e_i, e_j].
-
-        D is the least common denominator of the structure constants and a
-        row lists the (k, c) with c ≠ 0, so [e_i, e_j] = Σ (c / D) e_k.
-        Every ordered pair has a row: rows[j][i] is the negation of
-        rows[i][j] and rows[i][i] is empty.
-        """
-        d = lcm(*(c.denominator for _, _, coeffs in self.structure for c in coeffs))
-        rows = [[()] * self.dim for _ in range(self.dim)]
-        for i, j, coeffs in self.structure:
-            row = tuple((k, c.numerator * (d // c.denominator)) for k, c in enumerate(coeffs) if c)
-            rows[i][j] = row
-            rows[j][i] = tuple((k, -c) for k, c in row)
-        return d, tuple(tuple(r) for r in rows)
+    def structure(self) -> tuple[tuple[int, int, Vector], ...]:
+        """The ``Fraction`` view of ``tensor``: one (i, j, coefficients) per ``nonzero_rows``."""
+        d, out = self.tensor[0], []
+        for i, j, row in self.nonzero_rows():
+            coeffs = dict(row)
+            out.append((i, j, tuple(Fraction(coeffs.get(k, 0), d) for k in range(self.dim))))
+        return tuple(out)
 
     @cached_property
     def max_entry(self) -> int:
@@ -235,7 +239,7 @@ class LieAlgebra:
         return tuple(Fraction(v, den) for v in value)
 
     def is_abelian(self) -> bool:
-        return not self.structure
+        return self.max_entry == 0
 
     @cached_property
     def twin(self) -> AdaptedInput:
@@ -323,7 +327,7 @@ def adapted_input(alg: LieAlgebra) -> AdaptedInput:
         rows.extend(row for row, c in zip(term.rows, term.pivots) if c not in taken)
     basis = Matrix.from_rows(rows).transpose()
     inverse = basis.inverse()
-    moved = change_of_basis(alg, inverse)
+    moved = _moved(alg, inverse, basis)
     full = Subspace.full(n)
     flag = tuple(Subspace(n, full.rows[n - t.dim :]) for t in series.terms)
     vars(moved).update(
@@ -507,19 +511,25 @@ def change_of_basis(alg: LieAlgebra, p: Matrix) -> LieAlgebra:
 
     The transported bracket is p ∘ [ , ] ∘ (p⁻¹ × p⁻¹): with p = 2·I every
     structure constant halves, and round-tripping with p⁻¹ is the identity.
-    On integers, with Q = s·p⁻¹ and P = t·p, the new [e_i, e_j] is
-    P·D·[Q e_i, Q e_j] over t·D·s², one ``Fraction`` per nonzero constant.
     Raises on a singular p.
     """
     n = alg.dim
     if p.rows != n or p.cols != n:
         raise ValueError("change-of-basis matrix size does not match the algebra")
-    p_inv = p.inverse()
-    den = p.den * alg.tensor[0] * p_inv.den**2
+    return _moved(alg, p, p.inverse())
+
+
+def _moved(alg: LieAlgebra, p: Matrix, p_inv: Matrix) -> LieAlgebra:
+    """``change_of_basis(alg, p)`` for a caller that holds p⁻¹ already.
+
+    On integers, with Q = s·p⁻¹ and P = t·p, the new [e_i, e_j] is
+    P·D·[Q e_i, Q e_j] over t·D·s²; the rows go to the store as they are.
+    """
+    n = alg.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    brackets = {}
-    for pair, row in zip(pairs, alg.bracket_rows(p_inv.transpose().int_rows())):
-        value = int_matvec(p.ints, row)
-        if any(value):
-            brackets[pair] = {k: Fraction(v, den) for k, v in enumerate(value) if v}
-    return LieAlgebra.from_brackets(n, brackets, one_based=False)
+    rows = alg.bracket_rows(p_inv.transpose().int_rows())
+    ints = [v for row in rows for v in int_matvec(p.ints, row)]
+    den = p.den * alg.tensor[0] * p_inv.den**2
+    moved = LieAlgebra.__new__(LieAlgebra)
+    moved._store(n, pairs, Matrix._over(len(pairs), n, ints, den))
+    return moved

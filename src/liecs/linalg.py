@@ -58,9 +58,13 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Canonical string form: ``"p"`` when the denominator is 1, else ``"p/q"``."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return format_ratio(q.numerator, q.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """``format_rational(Fraction(num, den))`` for den > 0, without building the Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def as_rational(value) -> Fraction:

@@ -50,10 +50,10 @@ def _float_tensor(alg: LieAlgebra) -> np.ndarray:
     """c[i, j, k] = C_ij^k / D, correctly rounded like float(Fraction(C_ij^k, D))."""
     import numpy as np
 
-    d, rows = alg.tensor
+    d = alg.tensor[0]
     c = np.zeros((alg.dim, alg.dim, alg.dim))
-    for i, j, _ in alg.structure:
-        for k, v in rows[i][j]:
+    for i, j, row in alg.nonzero_rows():
+        for k, v in row:
             c[i, j, k] = v / d
         c[j, i] = -c[i, j]
     return c

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 from .algebra import LieAlgebra, SubspaceChain
 from .complex_structure import ComplexStructure, validate_almost_complex
 from .errors import AlgebraFileError
-from .linalg import Matrix, Subspace, format_rational, parse_rational
+from .linalg import Matrix, Subspace, format_ratio, format_rational, parse_rational
 from .stratification import Stratification, stratification_verdict
 
 
@@ -215,19 +215,16 @@ def serialize_algebra(
     stratification: Stratification | None = None,
 ) -> bytes:
     """Write an algebra (and optional J, strata) in the interchange schema."""
+    d = algebra.tensor[0]
     doc: dict = {
         "dim": algebra.dim,
         "brackets": [
             {
                 "i": i + 1,
                 "j": j + 1,
-                "out": {
-                    str(k + 1): format_rational(c)
-                    for k, c in enumerate(coeffs)
-                    if c != 0
-                },
+                "out": {str(k + 1): format_ratio(c, d) for k, c in row},
             }
-            for i, j, coeffs in sorted(algebra.structure)
+            for i, j, row in algebra.nonzero_rows()
         ],
     }
     if cs is not None:

@@ -91,82 +91,56 @@ def verify_stratification(alg: LieAlgebra, s: Stratification) -> StratificationV
     top_annihilation, series_match) and 1-based layer, so a rejected input
     says exactly what broke where.
     """
-    violations: list[StratificationViolation] = []
     k = s.step
     if k == 0:
-        return StratificationVerdict(
-            False, (StratificationViolation("direct_sum", 0, "no layers given"),)
-        )
+        return StratificationVerdict(False, (StratificationViolation("direct_sum", 0, "no layers given"),))
     for idx, layer in enumerate(s.layers, start=1):
         if layer.ambient_dim != alg.dim:
-            return StratificationVerdict(
-                False,
-                (
-                    StratificationViolation(
-                        "direct_sum", idx, "layer ambient dimension mismatch"
-                    ),
-                ),
-            )
+            mismatch = StratificationViolation("direct_sum", idx, "layer ambient dimension mismatch")
+            return StratificationVerdict(False, (mismatch,))
+    violations: list[StratificationViolation] = []
+
+    def fail(name: str, layer: int, detail: str) -> None:
+        violations.append(StratificationViolation(name, layer, detail))
 
     if s.layers[-1].is_zero():
-        violations.append(
-            StratificationViolation("direct_sum", k, "top layer is the zero subspace")
-        )
+        fail("direct_sum", k, "top layer is the zero subspace")
 
     partial = s.layers[0]
     sum_ok = True
-    for idx in range(2, k + 1):
-        layer = s.layer(idx)
-        overlap = subspace_intersection(partial, layer)
-        if not overlap.is_zero():
-            violations.append(
-                StratificationViolation(
-                    "direct_sum", idx, f"layer meets the span of earlier layers in dim {overlap.dim}"
-                )
-            )
+    for idx, layer in enumerate(s.layers[1:], start=2):
+        joined = subspace_sum(partial, layer)
+        overlap = partial.dim + layer.dim - joined.dim  # dim(partial ∩ layer)
+        if overlap:
+            fail("direct_sum", idx, f"layer meets the span of earlier layers in dim {overlap}")
             sum_ok = False
-        partial = subspace_sum(partial, layer)
+        partial = joined
     if not partial.is_full():
-        violations.append(
-            StratificationViolation(
-                "direct_sum", k, f"layers span dimension {partial.dim} of {alg.dim}"
-            )
-        )
+        fail("direct_sum", k, f"layers span dimension {partial.dim} of {alg.dim}")
         sum_ok = False
 
     n1 = s.layer(1)
     for idx in range(2, k + 1):
         generated = bracket_subspaces(alg, n1, s.layer(idx - 1))
         if generated != s.layer(idx):
-            violations.append(
-                StratificationViolation(
-                    "generation",
-                    idx,
-                    f"[n_1, n_{idx - 1}] has dimension {generated.dim}, expected layer of dimension {s.layer(idx).dim}",
-                )
+            fail(
+                "generation",
+                idx,
+                f"[n_1, n_{idx - 1}] has dimension {generated.dim}, expected layer of dimension {s.layer(idx).dim}",
             )
     top_bracket = bracket_subspaces(alg, n1, s.layer(k))
     if not top_bracket.is_zero():
-        violations.append(
-            StratificationViolation(
-                "top_annihilation", k, f"[n_1, n_{k}] is nonzero (dim {top_bracket.dim})"
-            )
-        )
+        fail("top_annihilation", k, f"[n_1, n_{k}] is nonzero (dim {top_bracket.dim})")
 
     if sum_ok:
         series = alg.descending_series
+        tails = [Subspace.zero(alg.dim)]  # tails[m]: the sum of layers above k - m
+        for layer in reversed(s.layers):
+            tails.append(subspace_sum(tails[-1], layer))
         for j in range(k + 1):
-            tail = Subspace.zero(alg.dim)
-            for idx in range(j + 1, k + 1):
-                tail = subspace_sum(tail, s.layer(idx))
-            if series.term(j) != tail:
-                violations.append(
-                    StratificationViolation(
-                        "series_match",
-                        j + 1,
-                        f"sum of layers above {j} differs from the lower central series term",
-                    )
-                )
+            if series.term(j) != tails[k - j]:
+                detail = f"sum of layers above {j} differs from the lower central series term"
+                fail("series_match", j + 1, detail)
     return StratificationVerdict(ok=not violations, violations=tuple(violations))
 
 

@@ -18,10 +18,13 @@ from liecs import (
     descending_central_series,
     image_subspace,
     nilpotency_step,
+    standard_block_j,
     stratification,
     validate,
+    validate_almost_complex,
 )
 from liecs.algebra import centralizer, memoized
+from liecs.report import build_report
 from liecs.linalg import basis_vector, vector
 from liecs.stratification import verify_stratification
 
@@ -53,6 +56,37 @@ def test_storage_rejects_bad_pairs():
         LieAlgebra(3, ((1, 1, (Fraction(0),) * 3),))
     with pytest.raises(ValueError, match="i < j"):
         LieAlgebra(3, ((2, 1, (Fraction(0),) * 3),))
+
+
+def test_reordered_triples_are_the_same_algebra():
+    hh6 = builtin("hh6")
+    reordered = LieAlgebra(6, tuple(reversed(hh6.algebra.structure)))
+    assert reordered == hh6.algebra and hash(reordered) == hash(hh6.algebra)
+    assert reordered.structure == hh6.algebra.structure
+    # a J bound to one of two equal algebras is bound to the other
+    cs = validate_almost_complex(reordered, hh6.primary_structure.matrix)
+    got = build_report("report", "hh6", hh6.algebra, cs, "standard", hh6.primary_stratification)
+    want = build_report(
+        "report", "hh6", hh6.algebra, hh6.primary_structure, "standard", hh6.primary_stratification
+    )
+    assert got.ok and got.to_dict() == want.to_dict()
+
+
+def test_an_explicit_zero_bracket_is_the_abelian_algebra():
+    zero = LieAlgebra(4, ((0, 1, (Fraction(0),) * 4),))
+    assert zero == LieAlgebra(4, ()) and zero.is_abelian()
+    assert zero.structure == ()
+    report = build_report("report", "a4", zero, validate_almost_complex(zero, standard_block_j(4)))
+    assert report.ok
+    (bounds,) = (v for v in report.verdicts if v.name == "center_dimension_bounds")
+    assert bounds.status == "hypothesis_not_met"
+
+
+def test_constants_are_stored_over_their_least_common_denominator():
+    alg = LieAlgebra(3, ((0, 1, (Fraction(0), Fraction(0), Fraction(2, 4))), (0, 2, (0, Fraction(1, 6), 0))))
+    assert alg.tensor[0] == 6
+    assert alg.tensor[1][0][1] == ((2, 3),) and alg.tensor[1][2][0] == ((1, -1),)
+    assert alg.structure[0] == (0, 1, (Fraction(0), Fraction(0), Fraction(1, 2)))
 
 
 def test_bracket_reads_structure_constants(kt4):

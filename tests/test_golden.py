@@ -19,10 +19,16 @@ A golden file changes only together with an explanation of each diff in
 ``CHANGES.md``.  Regenerate all of them with
 
     PYTHONPATH=src python tests/test_golden.py
+
+or compare without writing, which needs neither pytest nor numpy and
+exits 1 naming every file that differs, with
+
+    PYTHONPATH=src python tests/test_golden.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -34,7 +40,7 @@ from pathlib import Path
 from liecs import builtin, catalog_names, serialize_algebra
 from liecs.cli import main
 
-from conftest import (
+from builders import (
     conjugate_entry,
     direct_sum,
     jacobi_violating,
@@ -126,24 +132,47 @@ def render(workdir: Path) -> dict[str, bytes]:
     }
 
 
-def test_golden_reports_are_byte_identical(tmp_path):
-    produced = render(tmp_path)
+def differences(produced: dict[str, bytes]) -> list[str]:
+    """The golden files that ``produced`` lacks, adds or changes, sorted."""
     committed = {
         path.relative_to(GOLDEN).as_posix(): path.read_bytes()
         for path in sorted(GOLDEN.rglob("*"))
         if path.is_file()
     }
-    assert sorted(produced) == sorted(committed)
-    differing = [name for name in produced if produced[name] != committed[name]]
+    return sorted(
+        name
+        for name in produced.keys() | committed.keys()
+        if produced.get(name) != committed.get(name)
+    )
+
+
+def test_golden_reports_are_byte_identical(tmp_path):
+    differing = differences(render(tmp_path))
     assert not differing, f"golden files differ: {differing}"
 
 
-if __name__ == "__main__":
+def write_or_check(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write the golden files, or compare them.")
+    parser.add_argument(
+        "--check", action="store_true", help="compare with the committed files; write nothing"
+    )
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         files = render(Path(scratch))
+    if args.check:
+        differing = differences(files)
+        for name in differing:
+            print(f"golden file differs: {name}", file=sys.stderr)
+        print(f"{len(files) - len(differing)} of {len(files)} golden files match", file=sys.stderr)
+        return 1 if differing else 0
     shutil.rmtree(GOLDEN, ignore_errors=True)
     for name, data in files.items():
         target = GOLDEN / name
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(data)
     print(f"wrote {len(files)} golden files to {GOLDEN}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(write_or_check())

@@ -9,6 +9,7 @@ from liecs.linalg import (
     Matrix,
     Subspace,
     contains,
+    format_ratio,
     format_rational,
     image_subspace,
     int_kernel,
@@ -69,6 +70,12 @@ def test_format_rational(q, s):
 @settings(max_examples=150, deadline=None)
 def test_rational_string_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
+@settings(max_examples=150, deadline=None)
+def test_format_ratio_is_format_rational_of_the_fraction(num, den):
+    assert format_ratio(num, den) == format_rational(Fraction(num, den))
 
 
 # -- rref --------------------------------------------------------------------

@@ -18,7 +18,7 @@ from liecs import (
 from liecs.linalg import basis_vector, subspace_sum
 from liecs.verdicts import FAIL, HYPOTHESIS_NOT_MET, PASS
 
-from conftest import conjugate_entry, random_invertible, random_spd
+from conftest import conjugate_entry, random_invertible, random_spd, tilted_strata
 
 
 def span(n, *indices):
@@ -79,6 +79,52 @@ def test_overlapping_layers_rejected():
     verdict = verify_stratification(entry.algebra, s)
     assert not verdict.ok
     assert any(v.property_name == "direct_sum" for v in verdict.violations)
+
+
+def test_rf8_violation_lists_are_pinned():
+    # every violation, in order, with its message: the tilted strata of the
+    # golden files, and layers dropped, repeated and reversed
+    rf8 = builtin("rf8")
+    n1, n2, n3 = rf8.primary_stratification.layers
+    cases = [
+        (
+            tilted_strata(rf8).stratifications[0][1].layers,
+            [("generation", 2, "[n_1, n_1] has dimension 3, expected layer of dimension 2")],
+        ),
+        (
+            (n1, n2),
+            [
+                ("direct_sum", 2, "layers span dimension 6 of 8"),
+                ("top_annihilation", 2, "[n_1, n_2] is nonzero (dim 2)"),
+            ],
+        ),
+        (
+            (n2, n3),
+            [
+                ("direct_sum", 2, "layers span dimension 4 of 8"),
+                ("generation", 2, "[n_1, n_1] has dimension 0, expected layer of dimension 2"),
+            ],
+        ),
+        (
+            (n1, n1, n2, n3),
+            [
+                ("direct_sum", 2, "layer meets the span of earlier layers in dim 4"),
+                ("generation", 2, "[n_1, n_1] has dimension 2, expected layer of dimension 4"),
+            ],
+        ),
+        (
+            (n3, n2, n1),
+            [
+                ("generation", 2, "[n_1, n_1] has dimension 0, expected layer of dimension 2"),
+                ("generation", 3, "[n_1, n_2] has dimension 0, expected layer of dimension 4"),
+                ("series_match", 2, "sum of layers above 1 differs from the lower central series term"),
+                ("series_match", 3, "sum of layers above 2 differs from the lower central series term"),
+            ],
+        ),
+    ]
+    for layers, expected in cases:
+        verdict = verify_stratification(rf8.algebra, Stratification(tuple(layers)))
+        assert [(v.property_name, v.layer, v.detail) for v in verdict.violations] == expected
 
 
 # -- strata preservation ------------------------------------------------------
