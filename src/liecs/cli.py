@@ -24,7 +24,7 @@ from .search import (
     DEFAULT_THRESHOLD,
     find_complex_structure,
 )
-from .serialization import parse_algebra_file, serialize_report, _dump_json
+from .serialization import parse_algebra_file, serialize_report
 
 COMMANDS = ("validate", "series", "classify", "suite", "search", "report")
 
@@ -155,7 +155,7 @@ def _run_search(args, source, alg) -> tuple[bytes, int]:
         ]
         doc["verified_integrable"] = True
     if args.format == "json":
-        return _dump_json(doc), 0
+        return serialize_report(doc, "json"), 0
     lines = [f"# liecs search: {source}", "", f"- found: {doc['found']}"]
     if cs is not None:
         lines.append("- verified integrable: true")

@@ -124,12 +124,15 @@ def build_report(
 ) -> FullReport:
     """Run the pipeline stages required by ``command``.
 
-    Stages nest: validate ⊂ series ⊂ classify ⊂ suite ⊂ report, except
-    that ``suite`` and ``report`` are equal in content; each extends the
-    report of the one before.  Commands needing a complex structure error
-    out (in-band) when none is available.  ``alg`` is needed when there is
-    no ``cs``; when there is, ``cs`` must be bound to ``alg`` (ValueError
-    otherwise).
+    Stages nest: validate ⊂ series ⊂ classify ⊂ suite = report.  Commands
+    needing a complex structure error out (in-band) when none is
+    available; ``cs`` must be bound to ``alg`` (ValueError otherwise).
+
+    Each field is set once, from its owner: ``validation`` from ``alg``,
+    ``series`` and ``integrability`` from ``cs`` (decided on ``cs.twin``,
+    answered in the input basis), and ``special``, the classification and
+    the verdicts from ``cs.twin``, its series and the moved strata; only
+    ``k_subspace`` is mapped back, by ``AdaptedInput.to_input``.
     """
     if cs is not None and cs.algebra != alg:
         raise ValueError("the complex structure is bound to a different algebra")
@@ -147,43 +150,25 @@ def build_report(
 
     twin = cs.twin
     twin_strat = None if strat is None else strat.on_twin(cs.algebra.twin)
-    report = replace(report, series=twin.series)
-    if command != "series":
-        report = replace(report, integrability=twin.integrability, special=classify_special(twin))
-        try:
-            report = replace(report, classification=classify_step2(twin, twin_strat))
-        except HypothesisNotMet as exc:
-            report = replace(report, classification_skip_reason=str(exc))
-    if command not in ("series", "classify"):
-        report = replace(
-            report,
-            verdicts=(
-                *containment_audit(report.series),
-                center_dim_bounds(report.series),
-                *stratification_obstructions(twin.algebra, twin_strat),
-                *theorem_suite(twin, twin_strat),
-            ),
-        )
-    return _in_input_basis(report, cs)
-
-
-def _in_input_basis(report: FullReport, cs: ComplexStructure) -> FullReport:
-    """The one boundary: a report decided on ``cs.twin``, written in the basis of ``cs``.
-
-    The series come from ``cs.series``, which maps the twin's terms back,
-    and the witnesses from ``cs.integrability``, which checks a failing
-    structure again in this basis; k is mapped by ``AdaptedInput.to_input``.
-    Every other field is a dimension, a flag, a case or a verdict, which no
-    change of basis alters.
-    """
-    if cs.twin is cs:
+    report = replace(report, series=cs.series)
+    if command == "series":
         return report
-    found = report.classification
+    report = replace(report, integrability=cs.integrability, special=classify_special(twin))
+    try:
+        found = classify_step2(twin, twin_strat)
+    except HypothesisNotMet as exc:
+        report = replace(report, classification_skip_reason=str(exc))
+    else:
+        k = cs.algebra.twin.to_input(found.k_subspace)
+        report = replace(report, classification=replace(found, k_subspace=k))
+    if command == "classify":
+        return report
     return replace(
         report,
-        series=cs.series,
-        integrability=None if report.integrability is None else cs.integrability,
-        classification=None
-        if found is None
-        else replace(found, k_subspace=cs.algebra.twin.to_input(found.k_subspace)),
+        verdicts=(
+            *containment_audit(twin.series),
+            center_dim_bounds(twin.series),
+            *stratification_obstructions(twin.algebra, twin_strat),
+            *theorem_suite(twin, twin_strat),
+        ),
     )

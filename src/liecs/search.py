@@ -74,15 +74,17 @@ def _nijenhuis_residual(c: np.ndarray, j: np.ndarray) -> float:
     return float(np.sum(upper * upper))
 
 
-def _random_rational_invertible(rng: random.Random, n: int) -> Matrix:
+def _random_rational_invertible(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
     while True:
         rows = [
             [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(n)]
             for _ in range(n)
         ]
         m = Matrix.from_rows(rows)
-        if m.det() != 0:
-            return m
+        try:
+            return m, m.inverse()
+        except ValueError:  # singular: draw again
+            continue
 
 
 def _snap_caps(den_cap: int):
@@ -93,15 +95,8 @@ def _snap_caps(den_cap: int):
     yield den_cap
 
 
-def _snap_matrix(values: np.ndarray, n: int, cap: int) -> Matrix | None:
-    rows = [
-        [Fraction(values[r * n + col]).limit_denominator(cap) for col in range(n)]
-        for r in range(n)
-    ]
-    m = Matrix.from_rows(rows)
-    if m.det() == 0:
-        return None
-    return m
+def _snap_matrix(values: np.ndarray, n: int, cap: int) -> Matrix:
+    return Matrix(n, n, [Fraction(v).limit_denominator(cap) for v in values])
 
 
 def _float_optimizer(alg: LieAlgebra, j0: Matrix):
@@ -153,11 +148,11 @@ def find_complex_structure(
     j0 = standard_block_j(n)
     rng = random.Random(seed)
     optimize = None
+    identity = Matrix.identity(n)
 
     for restart in range(budget):
-        p_exact = Matrix.identity(n) if restart == 0 else _random_rational_invertible(rng, n)
-        candidate = p_exact @ j0 @ p_exact.inverse()
-        cs = _verify_candidate(alg, candidate)
+        p_exact, p_inv = _random_rational_invertible(rng, n) if restart else (identity, identity)
+        cs = _verify_candidate(alg, p_exact @ j0 @ p_inv)
         if cs is not None:
             return cs
 
@@ -168,9 +163,11 @@ def find_complex_structure(
             continue
         for cap in _snap_caps(den_cap):
             p_hat = _snap_matrix(result.x, n, cap)
-            if p_hat is None:
+            try:
+                p_inv = p_hat.inverse()
+            except ValueError:  # singular
                 continue
-            cs = _verify_candidate(alg, p_hat @ j0 @ p_hat.inverse())
+            cs = _verify_candidate(alg, p_hat @ j0 @ p_inv)
             if cs is not None:
                 return cs
     return None

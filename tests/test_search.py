@@ -120,6 +120,20 @@ def test_snap_loop_is_what_finds_the_scrambled_structure(monkeypatch):
     assert find_complex_structure(scrambled_kt4(), seed=7, budget=25) is None
 
 
+def test_search_takes_no_determinant(monkeypatch):
+    # singularity is the ValueError of the one inverse each candidate needs
+    scrambled, f4 = scrambled_kt4(), builtin("f4").algebra
+
+    def no_det(self):
+        raise AssertionError("the search computes a determinant")
+
+    monkeypatch.setattr(Matrix, "det", no_det)
+    cs = find_complex_structure(scrambled, seed=2, budget=25)
+    assert cs is not None
+    assert cs.matrix == Matrix.from_rows(SCRAMBLED_KT4_OUTCOMES[2])
+    assert find_complex_structure(f4, budget=1) is None
+
+
 def test_every_returned_structure_passed_the_gate(monkeypatch):
     """Exactness gate: nothing is returned without exact re-verification."""
     verified = []

@@ -6,16 +6,21 @@ the answers back.  Here every subspace and every failure witness of a
 report is compared with what the public functions (uncached, computing in
 the basis they are given) return in the input basis, on seeded scrambles
 of every catalog entry with each of its structures, of ch6⊕ch6, and on
-the two faulty golden inputs.
+the two faulty golden inputs.  On the scrambled golden inputs the calls
+of each report are counted, so a fact computed twice shows.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import liecs
 from liecs import (
     AlgebraFileError,
     HypothesisNotMet,
@@ -189,3 +194,54 @@ def test_nijenhuis_witnesses_come_from_the_input_basis():
     # the twin fails too, at other pairs or with other values
     assert is_integrable(cs.twin) != witnesses
     assert build_report("report", "f4", alg, cs, j_name, strat).integrability == witnesses
+
+
+# Calls per scrambled golden input, parse plus report, in the order
+# validate, nilpotent_step, is_integrable, classify_special, classify_step2,
+# verify_stratification.  Two stratification checks on ch6, ch6x3 and hh6:
+# the parse gate's verdict on the twin and the step-2 construction's
+# self-check.  Two integrability checks on f4: the twin decides, and the
+# input basis gives the witnesses.
+COUNTED = (
+    "validate",
+    "nilpotent_step",
+    "is_integrable",
+    "classify_special",
+    "classify_step2",
+    "verify_stratification",
+)
+CALLS_PER_REPORT = {
+    "a4": (1, 1, 1, 1, 1, 1),
+    "ch6": (1, 1, 1, 1, 1, 2),
+    "ch6x3": (1, 1, 1, 1, 1, 2),
+    "f4": (1, 1, 2, 1, 1, 1),
+    "fr6": (1, 1, 1, 1, 1, 1),
+    "hh6": (1, 1, 1, 1, 1, 2),
+    "kt4": (1, 1, 1, 1, 1, 1),
+    "rf8": (1, 1, 1, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(CALLS_PER_REPORT))
+def test_each_fact_is_computed_once_per_report(stem, monkeypatch):
+    data = (Path(__file__).parent / "golden" / "scrambled" / f"{stem}.json").read_bytes()
+    calls = Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    # every module that binds the function, as ``from .x import f`` does
+    for name in COUNTED:
+        original = getattr(liecs, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "liecs" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    parsed = parse_algebra_file(data)
+    cs, strat = parsed.complex_structure, parsed.stratification
+    report = build_report("report", stem, parsed.algebra, cs, "file", strat)
+    assert report.verdicts
+    assert tuple(calls[name] for name in COUNTED) == CALLS_PER_REPORT[stem]
