@@ -48,7 +48,6 @@ from .j_series import (
 )
 from .linalg import (
     Matrix,
-    Rational,
     Subspace,
     contains,
     format_rational,
@@ -97,7 +96,6 @@ __all__ = [
     "Matrix",
     "PASS",
     "ParsedInput",
-    "Rational",
     "SeriesReport",
     "SpecialFlags",
     "Step2Classification",

@@ -146,8 +146,9 @@ class PairTable:
     ``both`` c²·M, of ``j_left`` r·c·M and of ``j_plain`` r·M, so
     D·q²·N(e_i, e_j) is within (c² + 2·r·c + q²)·M, and so are the
     differences compared by ``classify_special``: (c² + q²)·M for the
-    abelian one, (r + c)·M for the bi-invariant one (r + c ≤ c² + 2·r·c
-    when c ≥ 1, and c = 0 means J_int = 0, so r = 0).
+    abelian one on pairs i < j, (r + c)·M for the bi-invariant one on
+    every ordered pair, i = j included (r + c ≤ c² + 2·r·c when c ≥ 1,
+    and c = 0 means J_int = 0, so r = 0).
     """
 
     width: int
@@ -268,25 +269,19 @@ class SpecialFlags:
 
 
 def classify_special(cs: ComplexStructure) -> SpecialFlags:
-    """Both flags on basis pairs i < j, compared as packed multiples by D·q².
+    """Both flags from their definitions, as identities of the pair table.
 
-    In the pair table, abelian reads both(i, j) = q²·plain[i][j] and
-    bi-invariant reads j_plain[i][j] = left[i][j].
+    Abelian, both(i, j) = q²·plain[i][j], is antisymmetric in (i, j), so
+    the pairs i < j decide it.  Bi-invariant, j_plain = left, is not, so
+    the two tables are compared whole: every ordered pair, i = j included.
     """
     n = cs.algebra.dim
     q = cs.matrix.den
     table = cs.pair_table
-    abelian = True
-    bi_invariant = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abelian and table.both(i, j) != q * q * table.plain[i][j]:
-                abelian = False
-            if bi_invariant and table.j_plain[i][j] != table.left[i][j]:
-                bi_invariant = False
-            if not abelian and not bi_invariant:
-                return SpecialFlags(False, False)
-    return SpecialFlags(abelian, bi_invariant)
+    abelian = all(
+        table.both(i, j) == q * q * table.plain[i][j] for i in range(n) for j in range(i + 1, n)
+    )
+    return SpecialFlags(abelian, table.j_plain == table.left)
 
 
 def j_invariant_inner_product(cs: ComplexStructure, phi: Matrix) -> Matrix:

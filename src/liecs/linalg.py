@@ -28,8 +28,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-Rational = Fraction
-
 Vector = tuple[Fraction, ...]
 
 _MINUS_SIGNS = "−–"  # unicode minus / en-dash, normalized on input

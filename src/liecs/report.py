@@ -130,9 +130,10 @@ def build_report(
 
     Each field is set once, from its owner: ``validation`` from ``alg``,
     ``series`` and ``integrability`` from ``cs`` (decided on ``cs.twin``,
-    answered in the input basis), and ``special``, the classification and
-    the verdicts from ``cs.twin``, its series and the moved strata; only
-    ``k_subspace`` is mapped back, by ``AdaptedInput.to_input``.
+    answered in the input basis), ``special`` and the classification from
+    ``cs.twin`` alone, with only ``k_subspace`` mapped back by
+    ``AdaptedInput.to_input``, and the verdicts from ``cs.twin``, its
+    series and the strata, which are moved to the twin for them only.
     """
     if cs is not None and cs.algebra != alg:
         raise ValueError("the complex structure is bound to a different algebra")
@@ -148,14 +149,13 @@ def build_report(
             return replace(report, errors=("command requires a complex structure, none available",))
         return report  # report: emit what exists
 
-    twin = cs.twin
-    twin_strat = None if strat is None else strat.on_twin(cs.algebra.twin)
     report = replace(report, series=cs.series)
     if command == "series":
         return report
+    twin = cs.twin
     report = replace(report, integrability=cs.integrability, special=classify_special(twin))
     try:
-        found = classify_step2(twin, twin_strat)
+        found = classify_step2(twin)
     except HypothesisNotMet as exc:
         report = replace(report, classification_skip_reason=str(exc))
     else:
@@ -163,6 +163,7 @@ def build_report(
         report = replace(report, classification=replace(found, k_subspace=k))
     if command == "classify":
         return report
+    twin_strat = None if strat is None else strat.on_twin(cs.algebra.twin)
     return replace(
         report,
         verdicts=(

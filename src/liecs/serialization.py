@@ -33,6 +33,11 @@ from .linalg import Matrix, Subspace, format_ratio, format_rational, parse_ratio
 from .stratification import Stratification, stratification_verdict
 
 
+# The largest ``dim`` a file may declare, checked before the algebra allocates
+# its dim × dim store; README.md gives the cost near the limit.
+MAX_DIM = 64
+
+
 @dataclass(frozen=True)
 class ParsedInput:
     algebra: LieAlgebra
@@ -107,6 +112,8 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
     dim = doc.get("dim")
     if not _is_json_int(dim) or dim < 1:
         raise AlgebraFileError("'dim' must be a positive integer")
+    if dim > MAX_DIM:
+        raise AlgebraFileError(f"'dim' exceeds the limit of {MAX_DIM}")
 
     brackets_raw = doc.get("brackets", [])
     if not isinstance(brackets_raw, list):

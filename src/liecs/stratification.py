@@ -209,14 +209,12 @@ class Step2Classification:
     center_preserving: bool
 
 
-def classify_step2(cs: ComplexStructure, s: Stratification | None = None) -> Step2Classification:
+def classify_step2(cs: ComplexStructure) -> Step2Classification:
     """Classify J on its algebra, which must be nilpotent of step 2.
 
-    The case analysis depends only on n_2 = [n, n], which is canonical; a
-    supplied stratification is only validated.  A valid one needs no
-    further check: ``series_match`` at j = k and j = k - 1 gives c_k = 0
-    and c_{k-1} = n_k, and n_k is nonzero, so k is the algebra's step 2
-    and the top layer is c_1 = [n, n].
+    The case analysis reads only n_2 = [n, n], the top layer of every valid
+    stratification (``series_match``), so it takes none; supplied strata are
+    checked by the parse gate and the battery's ``strat_ok``.
 
     Integrability is a real hypothesis here, not pedantry: the trichotomy
     uses the vanishing of the Nijenhuis tensor to see that [J n_2, n] is
@@ -229,10 +227,6 @@ def classify_step2(cs: ComplexStructure, s: Stratification | None = None) -> Ste
     if not cs.integrability.integrable:
         raise HypothesisNotMet("complex structure is not integrable")
     n2 = alg.descending_series.term(1)
-    if s is not None:
-        verdict = stratification_verdict(alg, s)
-        if not verdict.ok:
-            raise ValueError(f"supplied stratification is invalid: {verdict.violations}")
     k_sub = largest_j_invariant_subspace(cs, n2)
     if k_sub.is_zero():
         case, predicted = K_ZERO, 2

@@ -19,6 +19,7 @@ from liecs import (
     verify_stratification,
 )
 from liecs.report import build_report
+from liecs.serialization import MAX_DIM
 
 
 # -- catalog ------------------------------------------------------------------
@@ -176,6 +177,14 @@ def test_parse_rejects_boolean_integers():
     ):
         with pytest.raises(AlgebraFileError, match=message):
             parse_algebra_file(json.dumps(doc))
+
+
+def test_parse_bounds_the_dimension():
+    # checked before the algebra allocates its dim × dim store
+    for dim in (MAX_DIM + 1, 1_000_000):
+        with pytest.raises(AlgebraFileError, match=f"^'dim' exceeds the limit of {MAX_DIM}$"):
+            parse_algebra_file(json.dumps({"dim": dim, "brackets": []}))
+    assert parse_algebra_file(json.dumps({"dim": MAX_DIM})).algebra.dim == MAX_DIM
 
 
 def test_parse_rejects_out_of_range_output():

@@ -6,6 +6,7 @@ import pytest
 
 from liecs import build_report, builtin, catalog_names
 from liecs.cli import main
+from liecs.serialization import MAX_DIM
 
 RUN = [sys.executable, "-m", "liecs.cli"]
 
@@ -170,6 +171,24 @@ def test_unreadable_input_exits_one_in_band(tmp_path, make_input, message):
     doc = json.loads(result.stdout)
     assert doc["ok"] is False
     assert message in doc["errors"][0]
+
+
+def test_huge_dimension_exits_one_under_a_memory_limit(tmp_path):
+    # one child process with 1 GB of address space: a dense dim × dim store
+    # allocated before the bound was checked would end in MemoryError
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = _write(tmp_path / "big.json", b'{"dim": 1000000, "brackets": []}')
+    result = subprocess.run(
+        RUN + ["-i", str(path), "--cmd", "report"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["errors"] == [f"'dim' exceeds the limit of {MAX_DIM}"]
 
 
 ERROR_DOCUMENTS = {

@@ -9,6 +9,7 @@ from liecs import (
     Matrix,
     Subspace,
     builtin,
+    catalog_names,
     change_of_basis,
     classify_special,
     contains,
@@ -94,19 +95,28 @@ def oracle_integrable(alg, j_matrix):
 
 
 def oracle_special(alg, j_matrix):
-    """(abelian, bi_invariant) on basis pairs i < j, as the library checks them."""
+    """(abelian, bi_invariant) from the ``SpecialFlags`` definitions, "for all x, y".
+
+    Both identities are bilinear, so basis vectors decide them.  Abelian,
+    [Jx, Jy] = [x, y], is antisymmetric, so pairs i < j suffice;
+    bi-invariant, J[x, y] = [Jx, y], is not, so it is checked on every
+    ordered pair (i, j), i = j included.
+    """
     c = dense_table(alg)
     j_rows = [list(j_matrix.row(r)) for r in range(j_matrix.rows)]
     n = alg.dim
-    abelian = bi_invariant = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = [Fraction(int(k == i)) for k in range(n)]
-            y = [Fraction(int(k == j)) for k in range(n)]
-            jx, jy = oracle_apply(j_rows, x), oracle_apply(j_rows, y)
-            plain = oracle_bracket(c, x, y)
-            abelian &= oracle_bracket(c, jx, jy) == plain
-            bi_invariant &= oracle_apply(j_rows, plain) == oracle_bracket(c, jx, y)
+    e = [[Fraction(int(k == i)) for k in range(n)] for i in range(n)]
+    je = [oracle_apply(j_rows, x) for x in e]
+    abelian = all(
+        oracle_bracket(c, je[i], je[j]) == oracle_bracket(c, e[i], e[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    bi_invariant = all(
+        oracle_apply(j_rows, oracle_bracket(c, e[i], e[j])) == oracle_bracket(c, je[i], e[j])
+        for i in range(n)
+        for j in range(n)
+    )
     return abelian, bi_invariant
 
 
@@ -364,6 +374,37 @@ def test_nijenhuis_slot_width_on_extremal_structure():
     assert list(is_integrable(cs).witnesses) == expected
     flags = classify_special(cs)
     assert (flags.abelian, flags.bi_invariant) == oracle_special(cs.algebra, cs.matrix)
+
+
+# On ch6 (the complex Heisenberg algebra): J e1 = -e2, J e2 = e1, J e3 = e4,
+# J e4 = -e3, J e5 = -e6, J e6 = e5.  It is abelian, and J[x, y] = [Jx, y]
+# holds on every pair i < j but not on (e3, e1): J[e3, e1] = e6 while
+# [J e3, e1] = -e6.
+CH6_ABELIAN_J = (
+    (0, 1, 0, 0, 0, 0),
+    (-1, 0, 0, 0, 0, 0),
+    (0, 0, 0, -1, 0, 0),
+    (0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 0, 0, 1),
+    (0, 0, 0, 0, -1, 0),
+)
+
+
+def test_bi_invariance_is_read_on_every_ordered_pair():
+    alg, j = builtin("ch6").algebra, Matrix.from_rows(CH6_ABELIAN_J)
+    reverse = Matrix.from_rows([[int(i + k == 5) for k in range(6)] for i in range(6)])
+    for alg, j in ((alg, j), (change_of_basis(alg, reverse), reverse @ j @ reverse)):
+        flags = classify_special(validate_almost_complex(alg, j))
+        assert (flags.abelian, flags.bi_invariant) == (True, False) == oracle_special(alg, j)
+
+
+def test_abelian_and_bi_invariant_only_on_abelian_algebras():
+    # [x, y] = [Jx, Jy] = J[x, Jy] = -[x, y] when J is both
+    structures = [cs for name in catalog_names() for _, cs in builtin(name).complex_structures]
+    for cs in structures + [cs for _, cs in SCRAMBLED]:
+        flags = classify_special(cs)
+        if flags.abelian and flags.bi_invariant:
+            assert cs.algebra.descending_series.term(1).is_zero()
 
 
 def test_special_flags_exercised_by_scrambled_inputs():

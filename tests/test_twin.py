@@ -25,6 +25,7 @@ from liecs import (
     AlgebraFileError,
     HypothesisNotMet,
     Matrix,
+    Stratification,
     Subspace,
     ascending_central_series,
     build_report,
@@ -119,7 +120,7 @@ def test_report_equals_public_functions_in_the_input_basis(name):
             assert report.integrability == is_integrable(cs)
             assert report.verdicts == _battery(cs, strat)
             try:
-                expected = classify_step2(cs, strat)
+                expected = classify_step2(cs)
             except HypothesisNotMet as exc:
                 assert report.classification_skip_reason == str(exc)
             else:
@@ -245,3 +246,21 @@ def test_each_fact_is_computed_once_per_report(stem, monkeypatch):
     report = build_report("report", stem, parsed.algebra, cs, "file", strat)
     assert report.verdicts
     assert tuple(calls[name] for name in COUNTED) == CALLS_PER_REPORT[stem]
+
+
+@pytest.mark.parametrize("command,moves", [("series", 0), ("classify", 0), ("report", 1)])
+def test_strata_reach_the_twin_only_for_the_verdicts(command, moves, monkeypatch):
+    # in-process, so no parse gate has moved the strata before the report
+    alg, structures, strat = next(_scrambles("rf8"))
+    j_name, cs = structures[0]
+    assert alg.twin.basis is not None
+    calls = []
+    on_twin = Stratification.on_twin
+
+    def counting(self, twin):
+        calls.append(twin)
+        return on_twin(self, twin)
+
+    monkeypatch.setattr(Stratification, "on_twin", counting)
+    build_report(command, "rf8", alg, cs, j_name, strat)
+    assert len(calls) == moves
