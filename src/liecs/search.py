@@ -10,10 +10,11 @@ Candidates are parametrized as J = P J0 P⁻¹ with J0 the standard block
 structure, so J² = -I holds identically and the search space is invertible
 matrices P.  Each restart draws a rational P, first checks the conjugated
 structure exactly (this finds e.g. the standard structure immediately),
-then minimizes the squared Nijenhuis norm in floats and tries to snap the
-optimum back to small-denominator rationals.  numpy and scipy are loaded
-only when a restart first reaches the optimizer, so a search that ends at
-an exact check runs without them.
+then drives the Nijenhuis residual vector to zero in floats with a
+Levenberg–Marquardt loop on an analytic Jacobian, and tries to snap the
+optimum back to small-denominator rationals.  numpy is loaded only when a
+restart first reaches the optimizer, so a search that ends at an exact
+check runs without it.
 """
 
 from __future__ import annotations
@@ -59,19 +60,45 @@ def _float_tensor(alg: LieAlgebra) -> np.ndarray:
     return c
 
 
-def _nijenhuis_residual(c: np.ndarray, j: np.ndarray) -> float:
-    """Sum of squared Nijenhuis values over basis pairs a < b, in floats.
+def _pair_form(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """B(x, y)[..., a, b] = [xe_a, ye_b] − y([xe_a, e_b] + [e_a, xe_b]).
 
     The float twin of ``ComplexStructure.pair_table``, all pairs at once:
-    ``left[a, b]`` = [Je_a, e_b] and ``both[a, b]`` = [Je_a, Je_b].
+    N(J) = B(J, J) − c, and B is bilinear, so the derivative of N at J in
+    the direction D is B(D, J) + B(J, D).  Leading axes of ``x`` and ``y``
+    batch.
     """
     import numpy as np
 
-    left = np.einsum("ia,ijk->ajk", j, c)
-    both = np.einsum("ajk,jb->abk", left, j)
-    values = both - c - (left - left.transpose(1, 0, 2)) @ j.T
-    upper = values[np.triu_indices(j.shape[0], 1)]
-    return float(np.sum(upper * upper))
+    left = np.einsum("...ia,ijk->...ajk", x, c)
+    skew = left - np.swapaxes(left, -3, -2)
+    return np.einsum("...ajk,...jb->...abk", left, y) - np.einsum("...abm,...km->...abk", skew, y)
+
+
+def _nijenhuis_residual(c: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The Nijenhuis values over basis pairs a < b, flattened, in floats.
+
+    Its squared norm is the residual that ``--threshold`` bounds.
+    """
+    import numpy as np
+
+    return (_pair_form(c, j, j) - c)[np.triu_indices(j.shape[0], 1)].ravel()
+
+
+def _nijenhuis_jacobian(c: np.ndarray, j: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
+    """d residual / d P at J = P J0 P⁻¹, one column per entry of P (row-major).
+
+    The direction dP = e_p e_qᵀ gives E = dP P⁻¹ = e_p (row q of P⁻¹) and
+    dJ = E J − J E; each column is B(dJ, J) + B(J, dJ) over the pairs a < b.
+    """
+    import numpy as np
+
+    n = j.shape[0]
+    e = np.einsum("px,qy->pqxy", np.eye(n), p_inv).reshape(n * n, n, n)
+    dj = e @ j - j @ e
+    dn = _pair_form(c, dj, j) + _pair_form(c, j, dj)
+    upper = np.triu_indices(n, 1)
+    return dn[:, upper[0], upper[1]].reshape(n * n, -1).T
 
 
 def _random_rational_invertible(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
@@ -100,30 +127,56 @@ def _snap_matrix(values: np.ndarray, n: int, cap: int) -> Matrix:
 
 
 def _float_optimizer(alg: LieAlgebra, j0: Matrix):
-    """The float machinery of one search: ``P ↦ minimize(residual, P)``.
+    """The float machinery of one search: ``P ↦ (f, P*)``, P flattened.
 
     Built at most once per call, when a restart first fails its exact
-    check.  ``minimize`` is looked up here, at call time, so a wrapper put
-    on ``scipy.optimize.minimize`` after import is the one that runs.
+    check.  Levenberg–Marquardt on the residual vector: each step solves
+    the damped least-squares problem min |r + Jac·h|² + μ|h|² (as one
+    ``lstsq``, so the directions that leave J unchanged get no step), and
+    μ follows Nielsen's update (Madsen, Nielsen and Tingleff, *Methods
+    for non-linear least squares problems*, 2004, algorithm 3.16).  At
+    most 200 steps; a trial ``P`` whose ``slogdet`` is below −16 is
+    rejected like one that raises the residual.  ``f`` is the final
+    squared norm of the residual vector.
     """
     import numpy as np
-    from scipy.optimize import minimize
 
     n = alg.dim
     c_tensor = _float_tensor(alg)
     j0_float = np.array([[float(x) for x in j0.row(r)] for r in range(n)])
 
-    def residual_from_flat(flat: np.ndarray) -> float:
-        p = flat.reshape(n, n)
+    def residual_at(p: np.ndarray):
         sign, logdet = np.linalg.slogdet(p)
         if sign == 0 or logdet < -16.0:
-            return 1e6
-        j = p @ j0_float @ np.linalg.inv(p)
-        return _nijenhuis_residual(c_tensor, j)
+            return None
+        p_inv = np.linalg.inv(p)
+        j = p @ j0_float @ p_inv
+        return _nijenhuis_residual(c_tensor, j), _nijenhuis_jacobian(c_tensor, j, p_inv)
 
     def optimize(p_exact: Matrix):
-        start = np.array([float(x) for x in p_exact.entries])
-        return minimize(residual_from_flat, start, method="BFGS", options={"maxiter": 200})
+        p = np.array([float(x) for x in p_exact.entries])
+        at = residual_at(p.reshape(n, n))
+        if at is None:
+            return float("inf"), p
+        (r, jac), f = at, float(at[0] @ at[0])
+        mu, nu = 1e-3 * float(np.max(np.sum(jac * jac, axis=0))), 2.0
+        for _ in range(200):
+            g = jac.T @ r
+            if float(np.max(np.abs(g))) <= 1e-15:
+                break
+            damped = np.vstack([jac, np.sqrt(mu) * np.eye(n * n)])
+            h = np.linalg.lstsq(damped, np.concatenate([-r, np.zeros(n * n)]), rcond=None)[0]
+            if np.linalg.norm(h) <= 1e-15 * (np.linalg.norm(p) + 1e-15):
+                break
+            trial = residual_at((p + h).reshape(n, n))
+            f_new = float("inf") if trial is None else float(trial[0] @ trial[0])
+            rho = (f - f_new) / float(h @ (mu * h - g))  # actual over predicted decrease
+            if rho > 0:
+                p, (r, jac), f = p + h, trial, f_new
+                mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+            else:
+                mu, nu = mu * nu, 2 * nu
+        return f, p
 
     return optimize
 
@@ -158,11 +211,11 @@ def find_complex_structure(
 
         if optimize is None:
             optimize = _float_optimizer(alg, j0)
-        result = optimize(p_exact)
-        if result.fun >= threshold:
+        f, p_float = optimize(p_exact)
+        if f >= threshold:
             continue
         for cap in _snap_caps(den_cap):
-            p_hat = _snap_matrix(result.x, n, cap)
+            p_hat = _snap_matrix(p_float, n, cap)
             try:
                 p_inv = p_hat.inverse()
             except ValueError:  # singular

@@ -23,6 +23,7 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -105,6 +106,10 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
         ) from exc
     except RecursionError:
         raise AlgebraFileError("input nests too deeply to parse") from None
+    except ValueError:  # the decoder's int() refused a literal over the int-string limit
+        raise AlgebraFileError(
+            f"an integer literal exceeds the limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(doc, dict):
         raise AlgebraFileError("top-level value must be an object")
     doc.check_keys(("dim", "brackets", "J", "strata"))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -185,6 +186,15 @@ def test_parse_bounds_the_dimension():
         with pytest.raises(AlgebraFileError, match=f"^'dim' exceeds the limit of {MAX_DIM}$"):
             parse_algebra_file(json.dumps({"dim": dim, "brackets": []}))
     assert parse_algebra_file(json.dumps({"dim": MAX_DIM})).algebra.dim == MAX_DIM
+
+
+def test_parse_reports_an_integer_literal_over_the_digit_limit():
+    # json.loads raises a bare ValueError from int() on such a literal
+    limit = sys.get_int_max_str_digits()
+    for doc in ('{"dim": %s, "brackets": []}', '{"dim": 2, "brackets": [{"i": %s}]}'):
+        message = f"^an integer literal exceeds the limit of {limit} digits$"
+        with pytest.raises(AlgebraFileError, match=message):
+            parse_algebra_file(doc % ("1" * (limit + 1)))
 
 
 def test_parse_rejects_out_of_range_output():

@@ -191,6 +191,19 @@ def test_huge_dimension_exits_one_under_a_memory_limit(tmp_path):
     assert json.loads(result.stdout)["errors"] == [f"'dim' exceeds the limit of {MAX_DIM}"]
 
 
+def test_overlong_integer_literal_exits_one_in_band(tmp_path):
+    digits = sys.get_int_max_str_digits() + 700
+    path = _write(tmp_path / "long.json", b'{"dim": %s, "brackets": []}' % (b"1" * digits))
+    result = run_cli("-i", str(path), "--cmd", "report")
+    assert result.returncode == 1
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["ok"] is False
+    assert doc["errors"] == [
+        f"an integer literal exceeds the limit of {sys.get_int_max_str_digits()} digits"
+    ]
+
+
 ERROR_DOCUMENTS = {
     ("report", "json"): (
         "{\n"

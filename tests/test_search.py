@@ -66,40 +66,65 @@ def test_search_handles_scrambled_basis(rng):
     assert is_integrable(cs).integrable
 
 
-# What each seed returns on kt4 scrambled by SCRAMBLE at budget 25: the exact
-# rows of J, or None.  Restart 0 fails its exact check on this input, so
-# every seed runs the optimizer, and each J here comes out of the snap loop.
+# What each seed in 1-10 returns on kt4 scrambled by SCRAMBLE at budget 25:
+# the exact rows of J, or None.  Restart 0 fails its exact check on this
+# input, so every seed runs the optimizer, and each J here comes out of the
+# snap loop.
 SCRAMBLED_KT4_OUTCOMES = {
-    2: [
-        ["-166/113", "-244/113", "117/113", "26/113"],
-        ["235/339", "212/339", "91/339", "-143/339"],
-        ["-385/339", "-506/339", "464/339", "-148/339"],
-        ["-715/339", "-407/339", "1007/339", "-178/339"],
+    1: [
+        ["31/6", "3", "-2/3", "-31/6"],
+        ["-23/3", "-3", "14/3", "11/3"],
+        ["19/6", "2", "1/3", "-25/6"],
+        ["1/2", "1", "2", "-5/2"],
     ],
-    3: None,
+    2: [
+        ["3/4", "-5/6", "5/12", "-5/12"],
+        ["9/4", "-1/6", "-5/12", "-7/12"],
+        ["7/4", "-1/6", "1/12", "-13/12"],
+        ["1", "-4/3", "5/3", "-2/3"],
+    ],
+    3: [
+        ["11/4", "25/8", "-13/8", "-9/8"],
+        ["-7/8", "7/16", "13/16", "-7/16"],
+        ["7/2", "15/4", "-7/4", "-7/4"],
+        ["1/8", "55/16", "13/16", "-23/16"],
+    ],
     4: [
-        ["38/73", "74/73", "-18/73", "11/73"],
-        ["-86/73", "-33/73", "10/73", "2/73"],
-        ["38/73", "1/73", "-91/73", "84/73"],
-        ["25/73", "-32/73", "-154/73", "86/73"],
+        ["-9", "-5", "2", "8"],
+        ["2", "-7/3", "-4", "4/3"],
+        ["-8", "-3", "3", "6"],
+        ["-7", "-19/3", "-1", "25/3"],
+    ],
+    5: [
+        ["-3", "-8/3", "16/3", "-5/3"],
+        ["1", "5/3", "5/3", "-7/3"],
+        ["-2", "-2/3", "19/3", "-11/3"],
+        ["-2", "0", "8", "-5"],
     ],
     6: [
-        ["-1", "-3/4", "-1/4", "2"],
-        ["-2", "1/4", "7/4", "-1"],
-        ["-2", "-7/4", "-1/4", "3"],
-        ["-2", "-1/2", "1/2", "1"],
+        ["2/7", "-4/21", "-13/14", "11/14"],
+        ["-3/7", "2/7", "-6/7", "-3/7"],
+        ["2/7", "17/21", "1/14", "-3/14"],
+        ["-8/7", "23/21", "3/14", "-9/14"],
     ],
-    7: [
-        ["-4/9", "4/3", "1", "-2/9"],
-        ["1/3", "1/2", "-1/2", "-5/6"],
-        ["-13/9", "1/3", "1", "7/9"],
-        ["8/9", "11/6", "-1/2", "-19/18"],
+    7: None,
+    8: [
+        ["1/8", "19/24", "1", "-29/24"],
+        ["-41/8", "37/24", "9", "-35/24"],
+        ["5/8", "7/24", "0", "-17/24"],
+        ["-2", "4/3", "6", "-5/3"],
+    ],
+    9: [
+        ["37/3", "-22/3", "-50/3", "4"],
+        ["-7/3", "10/3", "17/3", "-3"],
+        ["40/3", "-25/3", "-56/3", "5"],
+        ["13", "-6", "-16", "3"],
     ],
     10: [
-        ["29/44", "-1/2", "-9/22", "-7/11"],
-        ["107/88", "-3/4", "-59/44", "25/22"],
-        ["29/44", "1/2", "13/22", "-18/11"],
-        ["7/8", "-1/4", "1/4", "-1/2"],
+        ["49/15", "-29/15", "-17/5", "-8/5"],
+        ["-13/15", "-7/15", "-1/5", "11/5"],
+        ["49/15", "-14/15", "-12/5", "-13/5"],
+        ["7/5", "-7/5", "-8/5", "-2/5"],
     ],
 }
 
@@ -113,11 +138,19 @@ def test_scrambled_kt4_outcome_table(seed):
     else:
         assert cs is not None
         assert cs.matrix == Matrix.from_rows(expected)
+        assert is_integrable(cs).integrable
+        assert cs.matrix @ cs.matrix == Matrix.identity(4).scale(-1)
 
 
 def test_snap_loop_is_what_finds_the_scrambled_structure(monkeypatch):
     monkeypatch.setattr(search_module, "_snap_caps", lambda den_cap: iter(()))
     assert find_complex_structure(scrambled_kt4(), seed=7, budget=25) is None
+
+
+def test_snap_loop_is_what_finds_a_pinned_structure(monkeypatch):
+    assert SCRAMBLED_KT4_OUTCOMES[2] is not None
+    monkeypatch.setattr(search_module, "_snap_caps", lambda den_cap: iter(()))
+    assert find_complex_structure(scrambled_kt4(), seed=2, budget=25) is None
 
 
 def test_search_takes_no_determinant(monkeypatch):
@@ -180,7 +213,7 @@ def test_import_does_not_load_numpy():
     assert result.returncode == 0, result.stderr
 
 
-def test_search_loads_numpy_and_scipy_only_for_the_optimizer():
+def test_search_loads_numpy_only_for_the_optimizer():
     # kt4 in its own basis is found at restart 0's exact check; f4 has no
     # integrable J, so its one restart reaches the optimizer
     code = """
@@ -196,7 +229,8 @@ assert '"found": true' in out.getvalue(), out.getvalue()
 loaded = sorted({"numpy", "scipy"} & set(sys.modules))
 assert not loaded, f"exact path loaded {loaded}"
 assert find_complex_structure(builtin("f4").algebra, budget=1) is None
-assert {"numpy", "scipy"} <= set(sys.modules), "optimizer path"
+assert "numpy" in sys.modules, "optimizer path"
+assert "scipy" not in sys.modules, "optimizer path loaded scipy"
 """
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -236,5 +270,29 @@ def test_residual_equals_per_pair_loop(name):
         js.append(gen.normal(size=(n, n)))  # any matrix: the residual is still defined
     for j in js:
         expected = reference_residual(c, j)
-        got = search_module._nijenhuis_residual(c, j)
+        residual = search_module._nijenhuis_residual(c, j)
+        got = float(residual @ residual)
         assert abs(got - expected) <= 1e-12 * expected, (name, got, expected)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog_names() if builtin(n).algebra.dim % 2 == 0]
+)
+def test_jacobian_equals_central_differences(name):
+    # central differences err by O(h²) in truncation and O(eps/h) in
+    # rounding; at h = 1e-6 both stay far below the 1e-7 relative bound
+    alg = builtin(name).algebra
+    n, h = alg.dim, 1e-6
+    c = search_module._float_tensor(alg)
+    j0 = np.array([[float(x) for x in search_module.standard_block_j(n).row(r)] for r in range(n)])
+    residual_at = lambda p: search_module._nijenhuis_residual(c, p @ j0 @ np.linalg.inv(p))
+    gen = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(3):
+        p = gen.normal(size=(n, n))
+        p_inv = np.linalg.inv(p)
+        jacobian = search_module._nijenhuis_jacobian(c, p @ j0 @ p_inv, p_inv)
+        steps = np.eye(n * n).reshape(n * n, n, n) * h
+        differences = np.array([residual_at(p + d) - residual_at(p - d) for d in steps]).T / (2 * h)
+        assert jacobian.shape == differences.shape == (n * (n - 1) // 2 * n, n * n)
+        error = np.max(np.abs(jacobian - differences))
+        assert error <= 1e-7 * np.max(np.abs(jacobian)), (name, error)
