@@ -130,14 +130,14 @@ def _float_optimizer(alg: LieAlgebra, j0: Matrix):
     """The float machinery of one search: ``P ↦ (f, P*)``, P flattened.
 
     Built at most once per call, when a restart first fails its exact
-    check.  Levenberg–Marquardt on the residual vector: each step solves
-    the damped least-squares problem min |r + Jac·h|² + μ|h|² (as one
-    ``lstsq``, so the directions that leave J unchanged get no step), and
-    μ follows Nielsen's update (Madsen, Nielsen and Tingleff, *Methods
-    for non-linear least squares problems*, 2004, algorithm 3.16).  At
-    most 200 steps; a trial ``P`` whose ``slogdet`` is below −16 is
-    rejected like one that raises the residual.  ``f`` is the final
-    squared norm of the residual vector.
+    check.  Levenberg–Marquardt on the residual vector, at most 200 steps,
+    with Nielsen's damping update (Madsen, Nielsen and Tingleff, *Methods
+    for non-linear least squares problems*, 2004, algorithm 3.16).  Each
+    step solves min |r + Jac·h|² + μ|h|² by ``lstsq`` on the stacked
+    system, so JacᵀJac, singular along the directions of P that leave J
+    unchanged, is never formed.  A trial ``P`` whose ``slogdet`` is below
+    −16 is rejected like one that raises the residual.  ``f`` is the
+    final squared norm of the residual vector.
     """
     import numpy as np
 
