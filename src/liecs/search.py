@@ -14,7 +14,8 @@ then drives the Nijenhuis residual vector to zero in floats with a
 Levenberg–Marquardt loop on an analytic Jacobian, and tries to snap the
 optimum back to small-denominator rationals.  numpy is loaded only when a
 restart first reaches the optimizer, so a search that ends at an exact
-check runs without it.
+check runs without it.  Above dimension ``MAX_OPTIMIZER_DIM`` the optimizer
+is never run and each restart ends at its exact check.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ if TYPE_CHECKING:
 DEFAULT_RESTARTS = 100
 DEFAULT_THRESHOLD = 1e-10
 DEFAULT_DENOMINATOR_CAP = 10**6
+# Each Levenberg–Marquardt step holds the Jacobian, n⁵/2 floats, and lstsq
+# copies it: one optimizer run on a scrambled ch6⁴ (dim 24) peaks at about
+# 100 MB of arrays and takes about a minute, and these grow as n⁵ and n⁷.
+# Above this dimension a restart ends at its exact check.
+MAX_OPTIMIZER_DIM = 24
 
 
 def _verify_candidate(alg: LieAlgebra, j: Matrix) -> ComplexStructure | None:
@@ -90,15 +96,22 @@ def _nijenhuis_jacobian(c: np.ndarray, j: np.ndarray, p_inv: np.ndarray) -> np.n
 
     The direction dP = e_p e_qᵀ gives E = dP P⁻¹ = e_p (row q of P⁻¹) and
     dJ = E J − J E; each column is B(dJ, J) + B(J, dJ) over the pairs a < b.
+    The columns are built a block of rows of P at a time, so each
+    temporary of ``_pair_form`` holds at most max(2¹⁸, n⁴) floats (one
+    block up to dim 12), not the n⁵ of every direction at once.
     """
     import numpy as np
 
     n = j.shape[0]
-    e = np.einsum("px,qy->pqxy", np.eye(n), p_inv).reshape(n * n, n, n)
-    dj = e @ j - j @ e
-    dn = _pair_form(c, dj, j) + _pair_form(c, j, dj)
     upper = np.triu_indices(n, 1)
-    return dn[:, upper[0], upper[1]].reshape(n * n, -1).T
+    rows = max(1, 2**18 // n**4)
+    jac_t = np.empty((n * n, n * (n - 1) // 2 * n))
+    for p in range(0, n, rows):
+        e = np.einsum("px,qy->pqxy", np.eye(n)[p : p + rows], p_inv).reshape(-1, n, n)
+        dj = e @ j - j @ e
+        dn = _pair_form(c, dj, j) + _pair_form(c, j, dj)
+        jac_t[p * n : p * n + len(e)] = dn[:, upper[0], upper[1]].reshape(len(e), -1)
+    return jac_t.T
 
 
 def _random_rational_invertible(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
@@ -145,20 +158,21 @@ def _float_optimizer(alg: LieAlgebra, j0: Matrix):
     c_tensor = _float_tensor(alg)
     j0_float = np.array([[float(x) for x in j0.row(r)] for r in range(n)])
 
-    def residual_at(p: np.ndarray):
+    def point(p: np.ndarray):
+        """(residual, J, P⁻¹) at P, or None where the determinant guard rejects P."""
         sign, logdet = np.linalg.slogdet(p)
         if sign == 0 or logdet < -16.0:
             return None
         p_inv = np.linalg.inv(p)
         j = p @ j0_float @ p_inv
-        return _nijenhuis_residual(c_tensor, j), _nijenhuis_jacobian(c_tensor, j, p_inv)
+        return _nijenhuis_residual(c_tensor, j), j, p_inv
 
     def optimize(p_exact: Matrix):
         p = np.array([float(x) for x in p_exact.entries])
-        at = residual_at(p.reshape(n, n))
+        at = point(p.reshape(n, n))
         if at is None:
             return float("inf"), p
-        (r, jac), f = at, float(at[0] @ at[0])
+        r, f, jac = at[0], float(at[0] @ at[0]), _nijenhuis_jacobian(c_tensor, *at[1:])
         mu, nu = 1e-3 * float(np.max(np.sum(jac * jac, axis=0))), 2.0
         for _ in range(200):
             g = jac.T @ r
@@ -168,11 +182,12 @@ def _float_optimizer(alg: LieAlgebra, j0: Matrix):
             h = np.linalg.lstsq(damped, np.concatenate([-r, np.zeros(n * n)]), rcond=None)[0]
             if np.linalg.norm(h) <= 1e-15 * (np.linalg.norm(p) + 1e-15):
                 break
-            trial = residual_at((p + h).reshape(n, n))
+            trial = point((p + h).reshape(n, n))
             f_new = float("inf") if trial is None else float(trial[0] @ trial[0])
             rho = (f - f_new) / float(h @ (mu * h - g))  # actual over predicted decrease
-            if rho > 0:
-                p, (r, jac), f = p + h, trial, f_new
+            if rho > 0:  # the Jacobian is built only at accepted steps
+                p, r, f = p + h, trial[0], f_new
+                jac = _nijenhuis_jacobian(c_tensor, *trial[1:])
                 mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
             else:
                 mu, nu = mu * nu, 2 * nu
@@ -194,8 +209,9 @@ def find_complex_structure(
     ``budget`` counts random restarts; the trajectory is a deterministic
     function of ``seed``.  Returns None when the budget is exhausted or no
     float optimum survives rational reconstruction; both are ordinary
-    outcomes, not errors.  Raises ValueError on odd dimension, where no
-    almost-complex structure exists at all.
+    outcomes, not errors.  Above dimension ``MAX_OPTIMIZER_DIM`` only the
+    exact check of each restart runs.  Raises ValueError on odd dimension,
+    where no almost-complex structure exists at all.
     """
     n = alg.dim
     j0 = standard_block_j(n)
@@ -209,6 +225,8 @@ def find_complex_structure(
         if cs is not None:
             return cs
 
+        if n > MAX_OPTIMIZER_DIM:
+            continue
         if optimize is None:
             optimize = _float_optimizer(alg, j0)
         f, p_float = optimize(p_exact)

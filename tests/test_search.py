@@ -6,6 +6,7 @@ import pytest
 
 import liecs.search as search_module
 from liecs import (
+    LieAlgebra,
     Matrix,
     builtin,
     catalog_names,
@@ -143,11 +144,6 @@ def test_scrambled_kt4_outcome_table(seed):
 
 
 def test_snap_loop_is_what_finds_the_scrambled_structure(monkeypatch):
-    monkeypatch.setattr(search_module, "_snap_caps", lambda den_cap: iter(()))
-    assert find_complex_structure(scrambled_kt4(), seed=7, budget=25) is None
-
-
-def test_snap_loop_is_what_finds_a_pinned_structure(monkeypatch):
     assert SCRAMBLED_KT4_OUTCOMES[2] is not None
     monkeypatch.setattr(search_module, "_snap_caps", lambda den_cap: iter(()))
     assert find_complex_structure(scrambled_kt4(), seed=2, budget=25) is None
@@ -202,6 +198,28 @@ def test_float_machinery_is_built_once_per_search(monkeypatch):
     )
     assert find_complex_structure(builtin("a4").algebra, seed=0, budget=3) is None
     assert len(built) == 1
+
+
+def f4_padded(dim):
+    """f4 plus an abelian summand: in the standard basis J0 is not integrable."""
+    f4 = builtin("f4").algebra
+    brackets = {(i, j): {k: v for k, v in enumerate(row) if v} for i, j, row in f4.structure}
+    return LieAlgebra.from_brackets(dim, brackets, one_based=False)
+
+
+@pytest.mark.parametrize(
+    "dim, runs",
+    [(search_module.MAX_OPTIMIZER_DIM, 1), (search_module.MAX_OPTIMIZER_DIM + 2, 0)],
+)
+def test_optimizer_runs_only_up_to_its_dimension_bound(monkeypatch, dim, runs):
+    calls = []
+    monkeypatch.setattr(
+        search_module,
+        "_float_optimizer",
+        lambda alg, j0: lambda p: calls.append(p) or (float("inf"), None),
+    )
+    assert find_complex_structure(f4_padded(dim), budget=1) is None
+    assert len(calls) == runs
 
 
 def test_import_does_not_load_numpy():
