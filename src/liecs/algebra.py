@@ -297,7 +297,7 @@ class AdaptedInput:
         return w if self.basis is None else image_subspace(w, self.basis)
 
     def chain_to_input(self, chain: SubspaceChain) -> SubspaceChain:
-        return SubspaceChain(tuple(map(self.to_input, chain.terms)), chain.stabilized_at)
+        return SubspaceChain(tuple(map(self.to_input, chain.terms)))
 
 
 def _is_coordinate(w: Subspace) -> bool:
@@ -330,9 +330,7 @@ def adapted_input(alg: LieAlgebra) -> AdaptedInput:
     moved = _moved(alg, inverse, basis)
     full = Subspace.full(n)
     flag = tuple(Subspace(n, full.rows[n - t.dim :]) for t in series.terms)
-    vars(moved).update(
-        descending_series=SubspaceChain(flag, series.stabilized_at), twin=AdaptedInput(moved)
-    )
+    vars(moved).update(descending_series=SubspaceChain(flag), twin=AdaptedInput(moved))
     return AdaptedInput(moved, basis, inverse)
 
 
@@ -413,14 +411,14 @@ def _bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 
 @dataclass(frozen=True)
 class SubspaceChain:
-    """A stabilized monotone chain of subspaces (stable term stored once).
-
-    ``stabilized_at`` is the first index j with term(j) = term(j+1); it is
-    always the index of the last stored term.
-    """
+    """A stabilized monotone chain of subspaces (stable term stored once)."""
 
     terms: tuple[Subspace, ...]
-    stabilized_at: int
+
+    @property
+    def stabilized_at(self) -> int:
+        """The first index j with term(j) = term(j+1): the last stored term."""
+        return len(self.terms) - 1
 
     def term(self, j: int) -> Subspace:
         """Term at index j, extending constantly past stabilization."""
@@ -448,7 +446,7 @@ def chain_until_stable(first: Subspace, step) -> SubspaceChain:
     for _ in range(first.ambient_dim + 1):
         nxt = step(terms[-1])
         if nxt == terms[-1]:
-            return SubspaceChain(tuple(terms), len(terms) - 1)
+            return SubspaceChain(tuple(terms))
         terms.append(nxt)
     raise InconsistencyError("chain failed to stabilize within the dimension bound")
 

@@ -9,7 +9,6 @@ path that cannot be written.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -18,12 +17,7 @@ from .catalog import builtin, catalog_names
 from .errors import AlgebraFileError
 from .linalg import format_rational
 from .report import build_report
-from .search import (
-    DEFAULT_DENOMINATOR_CAP,
-    DEFAULT_RESTARTS,
-    DEFAULT_THRESHOLD,
-    find_complex_structure,
-)
+from .search import DEFAULT_RESTARTS, find_complex_structure
 from .serialization import parse_algebra_file, serialize_report
 
 COMMANDS = ("validate", "series", "classify", "suite", "search", "report")
@@ -39,18 +33,6 @@ def _positive_int(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(message) from None
     if value < 1:
-        raise argparse.ArgumentTypeError(message)
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type of a finite number that must be greater than 0."""
-    message = f"must be a positive finite number, got {text!r}"
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(message)
     return value
 
@@ -79,18 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="search: RNG seed")
     parser.add_argument(
         "--restarts", type=_positive_int, default=DEFAULT_RESTARTS, help="search: restart budget"
-    )
-    parser.add_argument(
-        "--threshold",
-        type=_positive_float,
-        default=DEFAULT_THRESHOLD,
-        help="search: float residual below which reconstruction is attempted",
-    )
-    parser.add_argument(
-        "--den-cap",
-        type=_positive_int,
-        default=DEFAULT_DENOMINATOR_CAP,
-        help="search: largest denominator tried during rational reconstruction",
     )
     return parser
 
@@ -123,13 +93,7 @@ def _load_input(raw: str):
 
 def _run_search(args, source, alg) -> tuple[bytes, int]:
     try:
-        cs = find_complex_structure(
-            alg,
-            seed=args.seed,
-            budget=args.restarts,
-            threshold=args.threshold,
-            den_cap=args.den_cap,
-        )
+        cs = find_complex_structure(alg, seed=args.seed, budget=args.restarts)
     except ValueError as exc:
         doc = {
             "schema": "liecs.search/1",

@@ -11,11 +11,13 @@ structure, so J² = -I holds identically and the search space is invertible
 matrices P.  Each restart draws a rational P, first checks the conjugated
 structure exactly (this finds e.g. the standard structure immediately),
 then drives the Nijenhuis residual vector to zero in floats with a
-Levenberg–Marquardt loop on an analytic Jacobian, and tries to snap the
-optimum back to small-denominator rationals.  numpy is loaded only when a
-restart first reaches the optimizer, so a search that ends at an exact
-check runs without it.  Above dimension ``MAX_OPTIMIZER_DIM`` the optimizer
-is never run and each restart ends at its exact check.
+Levenberg–Marquardt loop on an analytic Jacobian, and, when the squared
+residual is below ``DEFAULT_THRESHOLD``, tries to snap the optimum back to
+rationals with the denominator caps of ``SNAP_CAPS`` in turn.  numpy is
+loaded only when a restart first reaches the optimizer, so a search that
+ends at an exact check runs without it.  Above dimension
+``MAX_OPTIMIZER_DIM`` the optimizer is never run and each restart ends at
+its exact check.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ if TYPE_CHECKING:
 
 DEFAULT_RESTARTS = 100
 DEFAULT_THRESHOLD = 1e-10
-DEFAULT_DENOMINATOR_CAP = 10**6
+# Denominator caps tried, smallest first, on an optimum below the threshold.
+SNAP_CAPS = (*(4**k for k in range(10)), 10**6)
 # Each Levenberg–Marquardt step holds the Jacobian, n⁵/2 floats, and lstsq
 # copies it: one optimizer run on a scrambled ch6⁴ (dim 24) peaks at about
 # 100 MB of arrays and takes about a minute, and these grow as n⁵ and n⁷.
@@ -84,7 +87,7 @@ def _pair_form(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _nijenhuis_residual(c: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The Nijenhuis values over basis pairs a < b, flattened, in floats.
 
-    Its squared norm is the residual that ``--threshold`` bounds.
+    Its squared norm is the residual that ``DEFAULT_THRESHOLD`` bounds.
     """
     import numpy as np
 
@@ -125,18 +128,6 @@ def _random_rational_invertible(rng: random.Random, n: int) -> tuple[Matrix, Mat
             return m, m.inverse()
         except ValueError:  # singular: draw again
             continue
-
-
-def _snap_caps(den_cap: int):
-    cap = 1
-    while cap < den_cap:
-        yield cap
-        cap *= 4
-    yield den_cap
-
-
-def _snap_matrix(values: np.ndarray, n: int, cap: int) -> Matrix:
-    return Matrix(n, n, [Fraction(v).limit_denominator(cap) for v in values])
 
 
 def _float_optimizer(alg: LieAlgebra, j0: Matrix):
@@ -200,9 +191,6 @@ def find_complex_structure(
     alg: LieAlgebra,
     seed: int = 0,
     budget: int = DEFAULT_RESTARTS,
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    den_cap: int = DEFAULT_DENOMINATOR_CAP,
 ) -> ComplexStructure | None:
     """Search for an exactly integrable complex structure on ``alg``.
 
@@ -230,10 +218,10 @@ def find_complex_structure(
         if optimize is None:
             optimize = _float_optimizer(alg, j0)
         f, p_float = optimize(p_exact)
-        if f >= threshold:
+        if f >= DEFAULT_THRESHOLD:
             continue
-        for cap in _snap_caps(den_cap):
-            p_hat = _snap_matrix(p_float, n, cap)
+        for cap in SNAP_CAPS:
+            p_hat = Matrix(n, n, [Fraction(v).limit_denominator(cap) for v in p_float])
             try:
                 p_inv = p_hat.inverse()
             except ValueError:  # singular

@@ -285,7 +285,7 @@ def test_route_disagreement_is_a_hard_failure(monkeypatch):
     from liecs import InconsistencyError, SubspaceChain
 
     entry = builtin("kt4")
-    truncated = SubspaceChain((Subspace.full(4),), 0)
+    truncated = SubspaceChain((Subspace.full(4),))
     monkeypatch.setattr(js, "p_series", lambda cs: truncated)
     with pytest.raises(InconsistencyError, match="routes disagree"):
         js.nilpotent_step(entry.primary_structure)

@@ -145,7 +145,7 @@ def test_scrambled_kt4_outcome_table(seed):
 
 def test_snap_loop_is_what_finds_the_scrambled_structure(monkeypatch):
     assert SCRAMBLED_KT4_OUTCOMES[2] is not None
-    monkeypatch.setattr(search_module, "_snap_caps", lambda den_cap: iter(()))
+    monkeypatch.setattr(search_module, "SNAP_CAPS", ())
     assert find_complex_structure(scrambled_kt4(), seed=2, budget=25) is None
 
 
