@@ -406,7 +406,7 @@ def bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 def _bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """[a, b] for an ordered pair; [a, a] takes only the pairs u before v."""
     rows = alg.bracket_rows(a.rows) if a == b else alg.bracket_rows(a.rows, b.rows)
-    return Subspace.from_int_rows(alg.dim, rows)
+    return Subspace(alg.dim, rows)
 
 
 @dataclass(frozen=True)
@@ -480,7 +480,7 @@ def centralizer(alg: LieAlgebra, prev: Subspace) -> Subspace:
             for m in range(n)
         ]
         conditions.extend(row for row in zip(*columns) if any(row))
-    return Subspace.from_int_rows(n, int_kernel(conditions, n))
+    return Subspace(n, int_kernel(conditions, n))
 
 
 def descending_central_series(alg: LieAlgebra) -> SubspaceChain:

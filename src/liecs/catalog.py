@@ -55,9 +55,9 @@ def standard_block_j(dim: int) -> Matrix:
 # One row per entry, in plain literals, so that importing builds nothing.  A
 # row gives the dimension, the brackets {(i, j): {k: c}} meaning
 # [e_i, e_j] = Σ c·e_k (1-based), the layers of the stratification named
-# "canonical" as 1-based basis indices in increasing order, and the expected
-# facts.  Its complex structures are the standard block J0 under "standard",
-# unless the row names its own under "J": matrix rows, or None for J0.
+# "canonical" as 1-based basis indices, and the expected facts.  Its complex
+# structures are the standard block J0 under "standard", unless the row names
+# its own under "J": matrix rows, or None for J0.
 _TABLE = {
     "a4": {  # abelian
         "dim": 4, "brackets": {},
@@ -200,5 +200,5 @@ def builtin(name: str) -> CatalogEntry:
 
 
 def _span(dim: int, indices: tuple[int, ...]) -> Subspace:
-    """The coordinate subspace on 1-based increasing indices, built in canonical form."""
+    """The coordinate subspace on 1-based basis indices."""
     return Subspace(dim, tuple(tuple(int(j == i - 1) for j in range(dim)) for i in indices))

@@ -15,8 +15,3 @@ class InconsistencyError(LiecsError):
 
 class AlgebraFileError(LiecsError, ValueError):
     """An interchange file is syntactically or semantically invalid."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        super().__init__(message)
-        self.line = line
-        self.column = column

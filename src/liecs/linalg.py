@@ -365,17 +365,19 @@ def rref(m: Matrix) -> Matrix:
 
     The result is the canonical representative of the row space of ``m``.
     """
-    return Subspace.from_int_rows(m.cols, m.int_rows()).basis
+    return Subspace(m.cols, m.int_rows()).basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subspace:
     """A linear subspace of Q^n in canonical integer form.
 
     ``rows`` is the reduced row echelon form of the subspace with each row
     replaced by its primitive integer multiple with positive pivot.  The
     form is unique, so two subspaces are equal iff their ``rows`` are, and
-    ``pivots`` lists the pivot column of each row.
+    ``pivots`` lists the pivot column of each row.  The constructor takes
+    any integer rows of width ``ambient_dim`` and is the one place where
+    the form is made: one ``_eliminate`` of their span.
 
     The zero subspace has no rows, never a missing object: series
     computations routinely terminate there.
@@ -385,40 +387,18 @@ class Subspace:
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
-        pivots: list[int] = []
-        for row in rows:
-            if len(row) != self.ambient_dim:
-                raise ValueError(
-                    f"row width {len(row)} does not match ambient dim {self.ambient_dim}"
-                )
-            pivot = next((j for j, a in enumerate(row) if a), None)
-            if pivot is None or (pivots and pivot <= pivots[-1]):
-                raise ValueError("subspace rows are not nonzero with increasing pivots")
-            if row[pivot] < 0:
-                raise ValueError(f"pivot in column {pivot} is negative")
-            if gcd(*row) != 1:
-                raise ValueError(f"row with pivot column {pivot} is not primitive")
-            pivots.append(pivot)
-        for i, c in enumerate(pivots):
-            if any(row[c] for k, row in enumerate(rows) if k != i):
-                raise ValueError(f"pivot column {c} has another nonzero entry")
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, ambient_dim: int, rows: Sequence[Sequence[int]]) -> None:
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError(f"rows must have width {ambient_dim}")
+        reduced, pivots = _eliminate(rows, ambient_dim)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", tuple(map(tuple, reduced)))
         object.__setattr__(self, "pivots", tuple(pivots))
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Sequence[Sequence]) -> Subspace:
         """Canonical form of the span of rational rows (anything ``Matrix`` accepts)."""
-        return Subspace.from_int_rows(ambient_dim, Matrix.from_rows(rows, ambient_dim).int_rows())
-
-    @staticmethod
-    def from_int_rows(ambient_dim: int, rows: Sequence[Sequence[int]]) -> Subspace:
-        """Canonical form of the span of integer rows."""
-        if any(len(r) != ambient_dim for r in rows):
-            raise ValueError(f"rows must have width {ambient_dim}")
-        reduced, pivots = _eliminate(rows, ambient_dim)
-        return Subspace(ambient_dim, tuple(map(tuple, reduced[: len(pivots)])))
+        return Subspace(ambient_dim, Matrix.from_rows(rows, ambient_dim).int_rows())
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
@@ -467,7 +447,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
         return a
     if a.is_zero() or b.is_full():
         return b
-    return Subspace.from_int_rows(a.ambient_dim, a.rows + b.rows)
+    return Subspace(a.ambient_dim, a.rows + b.rows)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -485,7 +465,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     stacked = [row + row for row in a.rows] + [row + (0,) * n for row in b.rows]
     reduced, pivots = _eliminate(stacked, n)
-    return Subspace.from_int_rows(n, [row[n:] for row in reduced[len(pivots) :]])
+    return Subspace(n, [row[n:] for row in reduced[len(pivots) :]])
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
@@ -535,7 +515,7 @@ def _orthogonal_complement(a: Subspace, gram: Matrix) -> Subspace:
     if a.is_zero():
         return Subspace.full(n)
     conditions = [int_matvec(gram.ints, row) for row in a.rows]
-    return Subspace.from_int_rows(n, int_kernel(conditions, n))
+    return Subspace(n, int_kernel(conditions, n))
 
 
 def int_matvec(flat: Sequence[int], v: Sequence[int]) -> list[int]:
@@ -589,4 +569,4 @@ def image_subspace(w: Subspace, m: Matrix) -> Subspace:
     """
     if m.cols != w.ambient_dim:
         raise ValueError("map width does not match ambient dimension")
-    return Subspace.from_int_rows(m.rows, [int_matvec(m.ints, r) for r in w.rows])
+    return Subspace(m.rows, [int_matvec(m.ints, r) for r in w.rows])

@@ -100,9 +100,7 @@ def parse_algebra_file(data: bytes | str) -> ParsedInput:
         doc = json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            line=exc.lineno,
-            column=exc.colno,
+            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError:
         raise AlgebraFileError("input nests too deeply to parse") from None

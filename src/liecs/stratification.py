@@ -8,8 +8,8 @@ For step-2 algebras whose derived subalgebra is J-invariant, a
 strata-preserving decomposition always exists: take n_2 = [n, n] and n_1
 its orthogonal complement under a J-averaged inner product.  The
 ``classify_step2`` trichotomy is driven by k = n_2 ∩ J n_2, the largest
-J-invariant subspace of the top layer, and predicts the nilpotent step of
-J (2 or 3) from it.
+J-invariant subspace of the top layer; the nilpotent step of J is 2 iff
+J[n, n] ⊆ z, and 3 otherwise.
 
 ``theorem_suite`` re-checks, on a concrete input, a battery of known
 implications between these notions; a failed verdict therefore signals a
@@ -42,6 +42,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _orthogonal_complement,
+    contains,
     subspace_intersection,
     subspace_sum,
 )
@@ -197,9 +198,9 @@ class Step2Classification:
     """Trichotomy for a complex structure on a step-2 nilpotent algebra.
 
     ``case`` reflects k = n_2 ∩ J n_2: zero, proper nonzero, or all of
-    n_2.  The predicted nilpotent step of J is 2, 3, 2 respectively, and
-    is cross-checked against the computed step before this object is
-    returned.
+    n_2.  The predicted nilpotent step of J is 2 iff J[n, n] ⊆ z, else 3
+    (see ``classify_step2``), and is cross-checked against the computed
+    step before this object is returned.
     """
 
     case: str
@@ -216,9 +217,20 @@ def classify_step2(cs: ComplexStructure) -> Step2Classification:
     stratification (``series_match``), so it takes none; supplied strata are
     checked by the parse gate and the battery's ``strat_ok``.
 
-    Integrability is a real hypothesis here, not pedantry: the trichotomy
-    uses the vanishing of the Nijenhuis tensor to see that [J n_2, n] is
-    J-invariant, and the prediction can fail for a non-integrable J.
+    The prediction is j0 = 2 iff J n_2 ⊆ z, else j0 = 3.  Proof, for n
+    non-abelian of step 2 and J integrable:
+
+    - Take x ∈ n_2.  It is central, so N(x, y) = 0 reads
+      [Jx, Jy] = J[Jx, y].  Hence the image of ad_{Jx} is J-invariant and
+      lies in n_2, so it lies in k ⊆ z ∩ Jz = d^1.
+    - So n_2 + J n_2 ⊆ d^2, and d^3 = n, since every [x, n] lies in n_2.
+    - d^1 ⊆ z ≠ n, and d^2 = n iff n_2 ⊆ d^1 iff n_2 ⊆ Jz (n_2 ⊆ z
+      always) iff J n_2 ⊆ z.
+
+    k = 0 and k = n_2 both give j0 = 2 as corollaries: J n_2 is central
+    by the first step, or equal to n_2.  A proper k can give either step.
+    Integrability is a real hypothesis here, not pedantry: the first step
+    needs it, and the prediction can fail for a non-integrable J.
     """
     alg = cs.algebra
     step = nilpotency_step(alg)
@@ -227,13 +239,10 @@ def classify_step2(cs: ComplexStructure) -> Step2Classification:
     if not cs.integrability.integrable:
         raise HypothesisNotMet("complex structure is not integrable")
     n2 = alg.descending_series.term(1)
+    z = center(alg)
     k_sub = largest_j_invariant_subspace(cs, n2)
-    if k_sub.is_zero():
-        case, predicted = K_ZERO, 2
-    elif k_sub == n2:
-        case, predicted = K_FULL, 2
-    else:
-        case, predicted = K_PROPER, 3
+    case = K_ZERO if k_sub.is_zero() else K_FULL if k_sub == n2 else K_PROPER
+    predicted = 2 if contains(z, cs.image(n2)) else 3
     j0 = cs.series.j0
     if j0 != predicted:
         raise InconsistencyError(
@@ -243,7 +252,6 @@ def classify_step2(cs: ComplexStructure) -> Step2Classification:
     if strata_preserving:
         # the construction raises InconsistencyError unless J preserves its layers
         cs.step2_stratification
-    z = center(alg)
     return Step2Classification(
         case=case,
         k_subspace=k_sub,

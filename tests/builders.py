@@ -1,9 +1,9 @@
 """Seeded test inputs, built with the public API alone.
 
-Scrambles, direct sums and faulty variants of catalog entries.  The
-module needs neither pytest nor numpy, so ``test_golden.py`` can rebuild
-the golden files with the exact core alone; ``conftest.py`` re-exports
-every builder for the test modules.
+Scrambles, direct sums and faulty variants of catalog entries, and one
+step-2 algebra outside the catalog.  The module needs neither pytest nor
+numpy, so ``test_golden.py`` can rebuild the golden files with the exact
+core alone; ``conftest.py`` re-exports every builder for the test modules.
 """
 
 import random
@@ -19,6 +19,7 @@ from liecs import (
     builtin,
     change_of_basis,
     image_subspace,
+    standard_block_j,
     validate,
     validate_almost_complex,
 )
@@ -86,6 +87,20 @@ def direct_sum(entry, copies: int) -> CatalogEntry:
         alg,
         (("block", validate_almost_complex(alg, Matrix.from_rows(block_j))),),
         (("block", Stratification(layers)),),
+    )
+
+
+def step2_kproper() -> CatalogEntry:
+    """A dim-8 step-2 algebra whose standard J has k = n_2 ∩ J n_2 proper and j0 = 2.
+
+    [e1, e2] = e5, [e1, e3] = e8, [e2, e4] = e8, [e3, e4] = e7: n_2 is
+    ⟨e5, e7, e8⟩ and k is ⟨e7, e8⟩, but J n_2 = ⟨e6, e7, e8⟩ is central,
+    so j0 = 2 (fr6, the catalog's one proper k, has j0 = 3).
+    """
+    brackets = {(1, 2): {5: 1}, (1, 3): {8: 1}, (2, 4): {8: 1}, (3, 4): {7: 1}}
+    alg = LieAlgebra.from_brackets(8, brackets)
+    return CatalogEntry(
+        "step2-kproper", alg, (("standard", validate_almost_complex(alg, standard_block_j(8))),), ()
     )
 
 

@@ -11,6 +11,7 @@ from builders import (
     direct_sum,
     jacobi_violating,
     random_invertible,
+    step2_kproper,
     tilted_strata,
 )
 

@@ -124,10 +124,8 @@ def test_parse_kt4_file_matches_builtin():
 
 
 def test_parse_syntax_error_carries_position():
-    with pytest.raises(AlgebraFileError, match="line") as exc_info:
+    with pytest.raises(AlgebraFileError, match="^syntax error at line 1, column 3: "):
         parse_algebra_file("{ not json }")
-    assert exc_info.value.line == 1
-    assert exc_info.value.column is not None
 
 
 def test_parse_rejects_zero_denominator():

@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from liecs import build_report, builtin, catalog_names
+from liecs import build_report, builtin, catalog_names, serialize_algebra
 from liecs.cli import _build_parser, main
 from liecs.serialization import MAX_DIM
+
+from conftest import step2_kproper
 
 RUN = [sys.executable, "-m", "liecs.cli"]
 
@@ -61,6 +64,27 @@ def test_build_report_rejects_structure_of_another_algebra():
     fr6, ch6 = builtin("fr6"), builtin("ch6")
     with pytest.raises(ValueError, match="bound to a different algebra"):
         build_report("report", "fr6", fr6.algebra, ch6.primary_structure, "standard")
+
+
+@pytest.mark.parametrize("basis", ["own", "scrambled"])
+def test_step2_proper_k_with_step_two_passes_every_command(tmp_path, capsys, basis):
+    """k = n_2 ∩ J n_2 proper does not force j0 = 3: here J[n, n] ⊆ z, so j0 = 2."""
+    if basis == "own":
+        entry = step2_kproper()
+        path = tmp_path / "step2-kproper.json"
+        path.write_bytes(serialize_algebra(entry.algebra, entry.primary_structure))
+    else:
+        path = Path(__file__).parent / "golden" / "scrambled" / "step2-kproper.json"
+    for cmd in ("validate", "series", "classify", "suite", "report"):
+        status = main(["-i", str(path), "--cmd", cmd])
+        out, err = capsys.readouterr()
+        assert (status, err) == (0, ""), cmd
+        doc = json.loads(out)
+        if cmd != "validate":
+            assert doc["series"]["j0"] == 2
+        if cmd in ("classify", "suite", "report"):
+            assert doc["classification"]["case"] == "k_proper"
+            assert doc["classification"]["predicted_j0"] == 2
 
 
 def test_jacobi_violation_file_exits_one_and_names_triple(tmp_path):

@@ -2,9 +2,10 @@
 
 Every catalog entry runs through ``liecs.cli.main`` with each report
 command, in JSON and in markdown.  One seeded scramble of each nilpotent
-entry, and one of ch6⊕ch6⊕ch6 (dim 18, where packed integer rows are
-widest), is written as an algebra file and run as ``report`` in JSON,
-which covers the file-parse path.  Two more scrambles are faulty inputs
+entry, one of ch6⊕ch6⊕ch6 (dim 18, where packed integer rows are
+widest) and one of a step-2 algebra whose k = n_2 ∩ J n_2 is proper while
+j0 = 2 (``builders.step2_kproper``) is written as an algebra file and run
+as ``report`` in JSON, which covers the file-parse path.  Two more scrambles are faulty inputs
 whose report reads the input basis only through the fault: a kt4 with
 one structure constant perturbed until Jacobi fails (the report names
 the violated triple of the file's basis), and an rf8 whose first layer
@@ -45,6 +46,7 @@ from builders import (
     direct_sum,
     jacobi_violating,
     random_invertible,
+    step2_kproper,
     tilted_strata,
 )
 
@@ -61,12 +63,13 @@ def _nilpotent_entries() -> list[str]:
 def _write_scrambles(workdir: Path) -> list[tuple[str, str]]:
     """Write the seeded scrambled inputs; return (name, relative path) for each.
 
-    One per nilpotent entry and of ch6^3, then the two faulty ones.
+    One per nilpotent entry, of ch6^3 and of the dim-8 ``step2_kproper``,
+    then the two faulty ones.
     """
     (workdir / "scrambled").mkdir()
     files = []
     entries = [builtin(name) for name in _nilpotent_entries()]
-    for entry in [*entries, direct_sum(builtin("ch6"), 3)]:
+    for entry in [*entries, direct_sum(builtin("ch6"), 3), step2_kproper()]:
         rng = random.Random(f"golden:{entry.name}")
         p = random_invertible(rng, entry.algebra.dim)
         files.append((entry.name, serialize_algebra(*conjugate_entry(entry, p))))

@@ -103,6 +103,16 @@ def test_canonical_rows_are_primitive_integers():
     assert Subspace(2, ((1, 0), (0, 1))) == Subspace.full(2)
 
 
+# The canonical span of each row set below that misses the form.
+CANONICAL_SPANS = {
+    ((2, 4),): ((1, 2),),
+    ((-1, 2),): ((1, -2),),
+    ((1, 1), (0, 1)): ((1, 0), (0, 1)),
+    ((0, 1), (1, 0)): ((1, 0), (0, 1)),
+    ((1, 0), (0, 0)): ((1, 0),),
+}
+
+
 @pytest.mark.parametrize(
     "rows,message",
     [
@@ -115,8 +125,13 @@ def test_canonical_rows_are_primitive_integers():
     ],
 )
 def test_constructor_rejects_non_canonical_rows(rows, message):
-    with pytest.raises(ValueError, match=message):
-        Subspace(2, rows)
+    """Only a row of the wrong width is refused; the constructor brings any
+    other rows (``message`` says how they miss the form) to their canonical span."""
+    if message == "width":
+        with pytest.raises(ValueError, match=message):
+            Subspace(2, rows)
+    else:
+        assert Subspace(2, rows).rows == CANONICAL_SPANS[rows]
 
 
 row_sets = st.integers(1, 6).flatmap(
@@ -151,7 +166,13 @@ def test_from_rows_is_invariant_under_row_operations(case, data):
 @settings(max_examples=80, deadline=None)
 def test_basis_rows_equal_fraction_rref(case):
     n, rows = case
-    assert Subspace.from_rows(n, rows).basis_rows() == fraction_rref(rows, n)
+    w = Subspace.from_rows(n, rows)
+    assert w.basis_rows() == fraction_rref(rows, n)
+    # the stored form: primitive rows, positive strictly increasing pivots, cleared pivot columns
+    leads = [next(j for j, a in enumerate(row) if a) for row in w.rows]
+    assert all(gcd(*row) == 1 and row[c] > 0 for row, c in zip(w.rows, leads))
+    assert leads == sorted(set(leads)) and tuple(leads) == w.pivots
+    assert all(row[c] == 0 for i, c in enumerate(leads) for k, row in enumerate(w.rows) if k != i)
 
 
 # -- subspace lattice --------------------------------------------------------
@@ -210,7 +231,7 @@ def test_ambient_mismatch_raises():
 
 def kernel(rows, cols):
     """``{x : r·x = 0 for every row r}`` as a canonical subspace."""
-    return Subspace.from_int_rows(cols, int_kernel(rows, cols))
+    return Subspace(cols, int_kernel(rows, cols))
 
 
 def test_kernel_of_zero_conditions_is_full():
