@@ -23,7 +23,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -400,11 +400,15 @@ class Subspace:
         """Canonical form of the span of rational rows (anything ``Matrix`` accepts)."""
         return Subspace(ambient_dim, Matrix.from_rows(rows, ambient_dim).int_rows())
 
+    # Subspaces are immutable, so one zero and one full subspace per
+    # dimension are shared by every caller.
     @staticmethod
+    @cache
     def zero(ambient_dim: int) -> Subspace:
         return Subspace(ambient_dim, ())
 
     @staticmethod
+    @cache
     def full(ambient_dim: int) -> Subspace:
         return Subspace(
             ambient_dim,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 
-from .algebra import LieAlgebra, ValidationReport
+from .algebra import LieAlgebra, ValidationReport, memoized
 from .complex_structure import (
     ComplexStructure,
     IntegrabilityReport,
@@ -50,7 +50,9 @@ class FullReport:
             and not any(v.failed for v in self.verdicts)
         )
 
+    @memoized
     def to_dict(self) -> dict:
+        """The report document, built once per report: callers share it and must not change it."""
         doc: dict = {
             "schema": "liecs.report/1",
             "command": self.command,

@@ -18,12 +18,20 @@ loaded only when a restart first reaches the optimizer, so a search that
 ends at an exact check runs without it.  Above dimension
 ``MAX_OPTIMIZER_DIM`` the optimizer is never run and each restart ends at
 its exact check.
+
+A failing restart is kept cheap at both of its costs, and neither changes
+what a search returns.  The optimizer stops once its recent rate of
+progress cannot bring the residual below the threshold in the steps it
+has left.  A snapped candidate whose Nijenhuis values are nonzero modulo
+a prime (``_residue_rejects``) is rejected before its exact inverse and
+the gate: such a residue can prove non-integrability, never integrability.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .algebra import LieAlgebra
@@ -43,6 +51,12 @@ SNAP_CAPS = (*(4**k for k in range(10)), 10**6)
 # 100 MB of arrays and takes about a minute, and these grow as n⁵ and n⁷.
 # Above this dimension a restart ends at its exact check.
 MAX_OPTIMIZER_DIM = 24
+# Levenberg–Marquardt steps per restart at most, and the window over which
+# the optimizer measures its rate of progress (see ``_float_optimizer``).
+STEPS = 200
+RATE_WINDOW = 10
+# The primes of ``_residue_rejects``, tried in turn until one is usable.
+RESIDUE_PRIMES = (2**61 - 1, 2**64 - 59, 2**31 - 1)
 
 
 def _verify_candidate(alg: LieAlgebra, j: Matrix) -> ComplexStructure | None:
@@ -56,6 +70,97 @@ def _verify_candidate(alg: LieAlgebra, j: Matrix) -> ComplexStructure | None:
     return cs
 
 
+def _residue_rejects(alg: LieAlgebra, j0: Matrix, p: Matrix) -> bool:
+    """True when a residue proves that J = P J0 P⁻¹ is not integrable.
+
+    With B = D·[ , ] the integer tensor, D·N(e_a, e_b) = B(Je_a, Je_b) −
+    B(e_a, e_b) − J(B(Je_a, e_b) − B(Je_b, e_a)) is a polynomial with
+    integer coefficients in the entries of J.  For a prime ℓ that divides
+    neither D nor the denominator of P, with P invertible mod ℓ, reduction
+    mod ℓ respects all of it, and J mod ℓ = P J0 P⁻¹ computed mod ℓ.  So a
+    nonzero value mod ℓ proves N(J) ≠ 0.  A zero one proves nothing, and
+    with no usable prime nothing is decided: the candidate then goes to the
+    exact gate.  This check may reject, never accept (the modular method:
+    von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed., 2013,
+    ch. 5).  Pure Python, O(n⁴) at most, and it stops at the first pair
+    with a nonzero value.
+    """
+    n, (d, rows) = alg.dim, alg.tensor
+    for ell in RESIDUE_PRIMES:
+        if d % ell == 0 or p.den % ell == 0:
+            continue
+        q_inv = pow(p.den, -1, ell)
+        p_mod = [[a * q_inv % ell for a in p.ints[r * n : (r + 1) * n]] for r in range(n)]
+        p_inv = _inverse_mod(p_mod, ell)
+        if p_inv is None:
+            continue
+        j0_rows = [list(j0.ints[r * n : (r + 1) * n]) for r in range(n)]
+        j = _matmul_mod(_matmul_mod(p_mod, j0_rows, ell), p_inv, ell)
+        return not _nijenhuis_vanishes_mod(n, rows, j, ell)
+    return False
+
+
+def _inverse_mod(m: list[list[int]], ell: int) -> list[list[int]] | None:
+    """The inverse of ``m`` mod the prime ``ell`` by Gauss–Jordan, or None if singular."""
+    n = len(m)
+    work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if work[r][c]), None)
+        if pivot is None:
+            return None
+        work[c], work[pivot] = work[pivot], work[c]
+        scale = pow(work[c][c], -1, ell)
+        work[c] = [a * scale % ell for a in work[c]]
+        for r in range(n):
+            factor = work[r][c]
+            if r != c and factor:
+                work[r] = [(a - factor * b) % ell for a, b in zip(work[r], work[c])]
+    return [row[n:] for row in work]
+
+
+def _matmul_mod(a: list[list[int]], b: list[list[int]], ell: int) -> list[list[int]]:
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % ell for col in columns] for row in a]
+
+
+def _nijenhuis_vanishes_mod(n: int, rows, j: list[list[int]], ell: int) -> bool:
+    """Whether D·N(e_a, e_b) ≡ 0 mod ``ell`` for every pair a < b, J given mod ``ell``.
+
+    ``rows`` is ``LieAlgebra.tensor[1]``.  Row a of the table ``left``,
+    B(Je_a, e_i) for every i, is built when a pair first needs it.
+    """
+    left: list[list[list[int]] | None] = [None] * n
+
+    def left_of(a: int) -> list[list[int]]:
+        if left[a] is None:
+            table = [[0] * n for _ in range(n)]
+            for i in range(n):
+                x = j[i][a]
+                if x:
+                    for col, out in zip(rows[i], table):
+                        for k, c in col:
+                            out[k] += x * c
+            left[a] = [[v % ell for v in out] for out in table]
+        return left[a]
+
+    for a in range(n):
+        la = left_of(a)
+        for b in range(a + 1, n):
+            lb = left_of(b)
+            value = [0] * n  # B(Je_a, Je_b) = Σ_i J[i][b]·B(Je_a, e_i)
+            for i in range(n):
+                x = j[i][b]
+                if x:
+                    value = [v + x * w for v, w in zip(value, la[i])]
+            for k, c in rows[a][b]:
+                value[k] -= c
+            inner = [x - y for x, y in zip(la[b], lb[a])]
+            for r in range(n):
+                if (value[r] - sum(x * y for x, y in zip(j[r], inner))) % ell:
+                    return False
+    return True
+
+
 def _float_tensor(alg: LieAlgebra) -> np.ndarray:
     """c[i, j, k] = C_ij^k / D, correctly rounded like float(Fraction(C_ij^k, D))."""
     import numpy as np
@@ -67,6 +172,14 @@ def _float_tensor(alg: LieAlgebra) -> np.ndarray:
             c[i, j, k] = v / d
         c[j, i] = -c[i, j]
     return c
+
+
+@cache
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays of the basis pairs a < b, built once per dimension and only read."""
+    import numpy as np
+
+    return np.triu_indices(n, 1)
 
 
 def _pair_form(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -89,9 +202,7 @@ def _nijenhuis_residual(c: np.ndarray, j: np.ndarray) -> np.ndarray:
 
     Its squared norm is the residual that ``DEFAULT_THRESHOLD`` bounds.
     """
-    import numpy as np
-
-    return (_pair_form(c, j, j) - c)[np.triu_indices(j.shape[0], 1)].ravel()
+    return (_pair_form(c, j, j) - c)[_upper_pairs(j.shape[0])].ravel()
 
 
 def _nijenhuis_jacobian(c: np.ndarray, j: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
@@ -106,7 +217,7 @@ def _nijenhuis_jacobian(c: np.ndarray, j: np.ndarray, p_inv: np.ndarray) -> np.n
     import numpy as np
 
     n = j.shape[0]
-    upper = np.triu_indices(n, 1)
+    upper = _upper_pairs(n)
     rows = max(1, 2**18 // n**4)
     jac_t = np.empty((n * n, n * (n - 1) // 2 * n))
     for p in range(0, n, rows):
@@ -134,14 +245,22 @@ def _float_optimizer(alg: LieAlgebra, j0: Matrix):
     """The float machinery of one search: ``P ↦ (f, P*)``, P flattened.
 
     Built at most once per call, when a restart first fails its exact
-    check.  Levenberg–Marquardt on the residual vector, at most 200 steps,
-    with Nielsen's damping update (Madsen, Nielsen and Tingleff, *Methods
-    for non-linear least squares problems*, 2004, algorithm 3.16).  Each
-    step solves min |r + Jac·h|² + μ|h|² by ``lstsq`` on the stacked
+    check.  Levenberg–Marquardt on the residual vector, at most ``STEPS``
+    steps, with Nielsen's damping update (Madsen, Nielsen and Tingleff,
+    *Methods for non-linear least squares problems*, 2004, algorithm 3.16).
+    Each step solves min |r + Jac·h|² + μ|h|² by ``lstsq`` on the stacked
     system, so JacᵀJac, singular along the directions of P that leave J
     unchanged, is never formed.  A trial ``P`` whose ``slogdet`` is below
     −16 is rejected like one that raises the residual.  ``f`` is the
     final squared norm of the residual vector.
+
+    The loop also stops on its rate of progress: from step k = 10
+    (``RATE_WINDOW``) on, when f·(f / f_{k−10})^((STEPS − k)/10) is still
+    at least ``DEFAULT_THRESHOLD``, that is when the geometric rate of the
+    last ten steps, kept up over the remaining ones, would leave f above
+    the threshold, whose optimum would not be snapped anyway.  On f4,
+    which has no integrable J, a restart so stops after 54 Jacobians
+    instead of 194, at f = 1.2e-6 instead of 2.1e-8.
     """
     import numpy as np
 
@@ -165,7 +284,14 @@ def _float_optimizer(alg: LieAlgebra, j0: Matrix):
             return float("inf"), p
         r, f, jac = at[0], float(at[0] @ at[0]), _nijenhuis_jacobian(c_tensor, *at[1:])
         mu, nu = 1e-3 * float(np.max(np.sum(jac * jac, axis=0))), 2.0
-        for _ in range(200):
+        history = []  # f before each step
+        for k in range(STEPS):
+            history.append(f)
+            # f never rises, so a restart below the threshold never stops here
+            if k >= RATE_WINDOW and f >= DEFAULT_THRESHOLD:
+                rate = f / history[k - RATE_WINDOW]
+                if f * rate ** ((STEPS - k) / RATE_WINDOW) >= DEFAULT_THRESHOLD:
+                    break
             g = jac.T @ r
             if float(np.max(np.abs(g))) <= 1e-15:
                 break
@@ -222,6 +348,8 @@ def find_complex_structure(
             continue
         for cap in SNAP_CAPS:
             p_hat = Matrix(n, n, [Fraction(v).limit_denominator(cap) for v in p_float])
+            if _residue_rejects(alg, j0, p_hat):
+                continue
             try:
                 p_inv = p_hat.inverse()
             except ValueError:  # singular

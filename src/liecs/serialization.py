@@ -252,7 +252,9 @@ def _dump_json(doc) -> bytes:
 
 
 def subspace_to_json(w: Subspace) -> dict:
-    return {"dim": w.dim, "basis": [_vector_strings(r) for r in w.basis_rows()]}
+    """The reduced row echelon basis: each canonical row over its positive pivot."""
+    basis = [[format_ratio(a, row[c]) for a in row] for row, c in zip(w.rows, w.pivots)]
+    return {"dim": w.dim, "basis": basis}
 
 
 def chain_to_json(chain: SubspaceChain) -> dict:

@@ -14,7 +14,8 @@ and layer that fail).  Both exit 1.  The outputs, the scrambled input files and
 the exit statuses (``exit_status.json``) must equal the files committed
 under ``tests/golden/``.  ``tests/golden/catalog/`` pins every builtin
 itself: its algebra file with each named J and stratification, and its
-``expected`` facts.
+``expected`` facts.  The verdicts of the golden reports are tallied too:
+the statements that none of them passes are listed by name.
 
 A golden file changes only together with an explanation of each diff in
 ``CHANGES.md``.  Regenerate all of them with
@@ -40,6 +41,9 @@ from pathlib import Path
 
 from liecs import builtin, catalog_names, serialize_algebra
 from liecs.cli import main
+from liecs.j_series import AUDIT, BOUNDS
+from liecs.stratification import OBSTRUCTIONS, SUITE
+from liecs.verdicts import PASS
 
 from builders import (
     conjugate_entry,
@@ -152,6 +156,24 @@ def differences(produced: dict[str, bytes]) -> list[str]:
 def test_golden_reports_are_byte_identical(tmp_path):
     differing = differences(render(tmp_path))
     assert not differing, f"golden files differ: {differing}"
+
+
+# The battery statements that no golden report passes (ROADMAP item 14): a
+# new witness shortens this set, and a lost one fails the test below.
+NEVER_PASSED = {
+    "eight_dim_twisted_third_layer_step_four",
+    "large_twisted_top_layer_step_three",
+    "no_stratification_exists",
+}
+
+
+def test_statements_never_passed_by_a_golden_report():
+    seen = {statement.name: set() for statement in (*AUDIT, *BOUNDS, *OBSTRUCTIONS, *SUITE)}
+    for path in sorted(GOLDEN.glob("*.json")):
+        doc = json.loads(path.read_bytes())
+        for verdict in doc.get("verdicts", ()):
+            seen[verdict["name"]].add(verdict["status"])
+    assert {name for name, statuses in seen.items() if PASS not in statuses} == NEVER_PASSED
 
 
 def write_or_check(argv: list[str] | None = None) -> int:

@@ -1,5 +1,8 @@
+import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import liecs.search as search_module
 from liecs import (
     LieAlgebra,
     Matrix,
+    Subspace,
     builtin,
     catalog_names,
     change_of_basis,
@@ -198,6 +202,107 @@ def test_float_machinery_is_built_once_per_search(monkeypatch):
     )
     assert find_complex_structure(builtin("a4").algebra, seed=0, budget=3) is None
     assert len(built) == 1
+
+
+def test_optimizer_stops_when_its_rate_cannot_reach_the_threshold(monkeypatch):
+    # f4 has no integrable J: its one restart fell slowly for all 200 steps
+    # (194 Jacobians, f = 2.1e-8 at the end), and now stops after 54
+    built = []
+    original = search_module._nijenhuis_jacobian
+    monkeypatch.setattr(
+        search_module,
+        "_nijenhuis_jacobian",
+        lambda *args: built.append(1) or original(*args),
+    )
+    assert find_complex_structure(builtin("f4").algebra, budget=1) is None
+    assert 0 < len(built) <= 64
+
+
+def conjugator(j):
+    """A rational P with P J0 P⁻¹ = J: columns v_1, J v_1, v_2, J v_2, … from the basis."""
+    n = j.rows
+    columns = []
+    for k in range(n):
+        v = [Fraction(int(i == k)) for i in range(n)]
+        trial = [*columns, v, j.matvec(v)]
+        if Subspace.from_rows(n, trial).dim == len(trial):
+            columns = trial
+    return Matrix.from_rows(columns).transpose()
+
+
+def residue_candidates(entry):
+    """Seeded rational P for the residue property, with the gate's verdict on each.
+
+    The catalog's named J (P built by ``conjugator``); P commuting with J0
+    (blocks a + bi, so J = J0 again, under a P the residue must invert);
+    and random P, some with denominators near the snap loop's largest.
+    """
+    n = entry.algebra.dim
+    rng = random.Random(f"residue:{entry.name}")
+    ratio = lambda cap: Fraction(rng.randint(-cap, cap), rng.randint(1, cap))
+    ps = [conjugator(cs.matrix) for _, cs in entry.complex_structures]
+    for _ in range(4):
+        blocks = [[0] * n for _ in range(n)]
+        for r in range(0, n, 2):
+            for c in range(0, n, 2):
+                a, b = ratio(9), ratio(3)
+                blocks[r][c], blocks[r][c + 1], blocks[r + 1][c], blocks[r + 1][c + 1] = a, -b, b, a
+        ps.append(Matrix.from_rows(blocks))
+    for cap in (2, 10**6):
+        for _ in range(8):
+            ps.append(Matrix.from_rows([[ratio(cap) for _ in range(n)] for _ in range(n)]))
+    j0 = search_module.standard_block_j(n)
+    for p in ps:
+        try:
+            p_inv = p.inverse()
+        except ValueError:
+            continue
+        yield p, search_module._verify_candidate(entry.algebra, p @ j0 @ p_inv) is not None
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog_names() if builtin(n).algebra.dim % 2 == 0]
+)
+def test_residue_rejects_only_what_the_gate_rejects(name):
+    entry = builtin(name)
+    j0 = search_module.standard_block_j(entry.algebra.dim)
+    verdicts = [
+        (search_module._residue_rejects(entry.algebra, j0, p), accepted)
+        for p, accepted in residue_candidates(entry)
+    ]
+    assert not any(rejected and accepted for rejected, accepted in verdicts)
+    # every named J is integrable except f4's, so the property is not vacuous
+    assert any(accepted for _, accepted in verdicts) == (name != "f4")
+    # and on these seeds the residue rejects every candidate the gate rejects
+    assert all(rejected or accepted for rejected, accepted in verdicts)
+
+
+def test_a_prime_dividing_a_denominator_falls_through_to_the_gate(monkeypatch):
+    f4, j0, identity = builtin("f4").algebra, search_module.standard_block_j(4), Matrix.identity(4)
+    product = prod(search_module.RESIDUE_PRIMES)
+    assert search_module._residue_rejects(f4, j0, identity)
+    # P = I/product conjugates J0 to itself, but every prime divides its denominator
+    assert not search_module._residue_rejects(f4, j0, identity.scale(Fraction(1, product)))
+    # every prime divides D: f4's structure constants over product
+    scaled = LieAlgebra.from_brackets(
+        4,
+        {(i, j): {k: v / product for k, v in enumerate(row) if v} for i, j, row in f4.structure},
+        one_based=False,
+    )
+    assert scaled.tensor[0] == product
+    assert not search_module._residue_rejects(scaled, j0, identity)
+    # with no usable prime every snapped candidate reaches the gate, and the
+    # search returns what it returns with the residue
+    counted = []
+    original = search_module._verify_candidate
+    monkeypatch.setattr(
+        search_module, "_verify_candidate", lambda alg, j: counted.append(1) or original(alg, j)
+    )
+    with_residue = find_complex_structure(scrambled_kt4(), seed=2, budget=25)
+    calls = len(counted)
+    monkeypatch.setattr(search_module, "RESIDUE_PRIMES", ())
+    assert find_complex_structure(scrambled_kt4(), seed=2, budget=25).matrix == with_residue.matrix
+    assert len(counted) - calls > calls
 
 
 def f4_padded(dim):
