@@ -39,8 +39,10 @@ Intermediate sums need no bound: packing is linear and exact on any ints.
 
 Facts derived from an immutable object (its validation, its central
 series, and on a complex structure its integrability and series) are
-cached on that object and computed at most once.  The cache is per
-object: an equal but distinct object computes them again.  Facts that
+cached on that object and computed at most once.  Such objects are
+``linalg.Value`` records, frozen against assignment, and the caches
+write to their ``__dict__`` directly.  The cache is per object: an
+equal but distinct object computes them again.  Facts that
 take arguments are cached the same way by one decorator, ``memoized``:
 the packed tensor per slot width, each [a, b] (the five series, the audit
 and the stratification checks ask for [g, g] repeatedly), each
@@ -70,7 +72,6 @@ run again in the input basis, with the public ``validate`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Iterator, Mapping, Sequence
@@ -79,6 +80,7 @@ from .errors import InconsistencyError
 from .linalg import (
     Matrix,
     Subspace,
+    Value,
     Vector,
     image_subspace,
     int_kernel,
@@ -118,8 +120,7 @@ def _max_norm(rows: Sequence[Sequence[int]]) -> int:
     return max((sum(map(abs, r)) for r in rows), default=0)
 
 
-@dataclass(frozen=True, init=False)
-class LieAlgebra:
+class LieAlgebra(Value):
     """Finite-dimensional Lie algebra over Q in a fixed basis.
 
     Built from (i, j, coefficients) triples, i < j (0-based), in any order:
@@ -268,8 +269,7 @@ class LieAlgebra:
         return twin.chain_to_input(twin.algebra.ascending_series)
 
 
-@dataclass(frozen=True)
-class AdaptedInput:
+class AdaptedInput(Value):
     """An algebra moved into a basis adapted to its lower central series: its twin.
 
     ``basis`` has the adapted basis vectors as its columns, in input
@@ -334,16 +334,14 @@ def adapted_input(alg: LieAlgebra) -> AdaptedInput:
     return AdaptedInput(moved, basis, inverse)
 
 
-@dataclass(frozen=True)
-class JacobiViolation:
+class JacobiViolation(Value):
     """A basis triple (1-based) whose Jacobi cyclic sum is nonzero."""
 
     triple: tuple[int, int, int]
     residual: Vector
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Value):
     ok: bool
     violations: tuple[JacobiViolation, ...]
 
@@ -409,8 +407,7 @@ def _bracket_subspaces(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     return Subspace(alg.dim, rows)
 
 
-@dataclass(frozen=True)
-class SubspaceChain:
+class SubspaceChain(Value):
     """A stabilized monotone chain of subspaces (stable term stored once)."""
 
     terms: tuple[Subspace, ...]

@@ -15,22 +15,21 @@ whose layers are all J-invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import LieAlgebra
 from .complex_structure import ComplexStructure, validate_almost_complex
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, Value
 from .stratification import Stratification
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Value):
     name: str
     algebra: LieAlgebra
     complex_structures: tuple[tuple[str, ComplexStructure], ...]
     stratifications: tuple[tuple[str, Stratification], ...]
-    expected: Mapping[str, object] = field(default_factory=dict)
+    expected: Mapping[str, object] = MappingProxyType({})
 
     @property
     def primary_structure(self) -> ComplexStructure | None:

@@ -24,7 +24,6 @@ of the packed bracket kernel ``LieAlgebra.bracket_rows``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -33,6 +32,7 @@ from .algebra import LieAlgebra, memoized
 from .linalg import (
     Matrix,
     Subspace,
+    Value,
     Vector,
     image_subspace,
     int_matvec,
@@ -48,8 +48,7 @@ if TYPE_CHECKING:
     from .stratification import Stratification
 
 
-@dataclass(frozen=True)
-class ComplexStructure:
+class ComplexStructure(Value):
     """An almost-complex structure bound to its algebra."""
 
     algebra: LieAlgebra
@@ -125,8 +124,7 @@ def validate_almost_complex(alg: LieAlgebra, j: Matrix) -> ComplexStructure:
     return ComplexStructure(alg, j)
 
 
-@dataclass(frozen=True)
-class PairTable:
+class PairTable(Value):
     """Packed integer bracket values on ordered basis pairs, one slot width.
 
     With B = D·[ , ] and J_int = q·J (``J.ints``, q = ``J.den``), for all
@@ -217,8 +215,7 @@ def nijenhuis(cs: ComplexStructure, x: Sequence[Fraction], y: Sequence[Fraction]
     )
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
+class IntegrabilityReport(Value):
     """Outcome of the integrability check.
 
     ``witnesses`` holds (i, j, N(e_i, e_j)) for each basis pair (1-based)
@@ -256,8 +253,7 @@ def is_integrable(cs: ComplexStructure) -> IntegrabilityReport:
     return IntegrabilityReport(integrable=not witnesses, witnesses=tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class SpecialFlags:
+class SpecialFlags(Value):
     """Membership in the two classical special classes.
 
     abelian:      [Jx, Jy] = [x, y] for all x, y

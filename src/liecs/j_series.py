@@ -24,8 +24,6 @@ and ``center_dim_bounds`` evaluate them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     LieAlgebra,
     SubspaceChain,
@@ -36,7 +34,7 @@ from .algebra import (
 )
 from .complex_structure import ComplexStructure, largest_j_invariant_subspace
 from .errors import InconsistencyError
-from .linalg import Subspace, contains, subspace_sum
+from .linalg import Subspace, Value, contains, subspace_sum
 from .verdicts import Statement, Verdict, evaluate
 
 
@@ -78,8 +76,7 @@ def p_series(cs: ComplexStructure) -> SubspaceChain:
     return chain_until_stable(full, step)
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(Value):
     """The three J-series of one complex structure and its nilpotent step.
 
     ``j0`` is None when J is not nilpotent (the ascending chain stops

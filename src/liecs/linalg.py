@@ -14,6 +14,10 @@ it; sums, intersections, kernels, images, complements, ``rref`` and
 ``Matrix.inverse`` all go through it.  The ``Fraction`` form of a basis
 (each row divided by its pivot) is built only when it is asked for.
 
+:class:`Value` is the frozen base of every record class of the package,
+these two included: fields, equality, hash and repr come from the class
+annotations, read once when the class is made, with no generated code.
+
 No floating point enters this module.
 """
 
@@ -21,12 +25,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter, mul
+from typing import Any, Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -86,8 +89,95 @@ def basis_vector(n: int, k: int) -> Vector:
     return tuple(Fraction(1 if i == k else 0) for i in range(n))
 
 
-@dataclass(frozen=True, init=False)
-class Matrix:
+class Value:
+    """Frozen record base: fields, equality, hash and repr from the annotations.
+
+    A subclass lists its fields as class annotations, in order, each with
+    an optional class-level default, and they are read once, when the class
+    is made; no method is generated.  ``__init__`` binds positional and
+    keyword arguments to the fields, and a class may define its own that
+    stores them with ``object.__setattr__``, which keeps them in the
+    instance's inline slots (``vars(self).update`` would build a dict per
+    instance, twice the memory and slower reads).  Two values are equal
+    iff they are of the same class with equal field tuples, and a value
+    hashes as its field tuple.  No attribute can be set or deleted
+    afterwards; ``cached_property`` and ``algebra.memoized`` write to the
+    instance ``__dict__`` directly, which is how they cache on a frozen
+    value.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        body, own = vars(cls), cls.__annotations__
+        cls._fields = (*cls._fields, *own)
+        cls._defaults = {**cls._defaults, **{name: body[name] for name in own if name in body}}
+        cls._values = staticmethod(_getter(cls._fields))
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in order, from ``args``, then ``kwargs``, then the defaults."""
+        fields, name = cls._fields, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, {len(args)} given")
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if fields.index(key) < len(args):
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        values = list(args)
+        for key in fields[len(args) :]:
+            if key in kwargs:
+                values.append(kwargs[key])
+            elif key in cls._defaults:
+                values.append(cls._defaults[key])
+            else:
+                raise TypeError(f"{name}() missing argument {key!r}")
+        return values
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__qualname__} is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__qualname__} is frozen")
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{key}={value!r}' for key, value in pairs)})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, every field passed in order to ``__init__``."""
+        values = [changes.pop(key, value) for key, value in zip(self._fields, self._values(self))]
+        if changes:
+            raise TypeError(f"{type(self).__qualname__} has no field {next(iter(changes))!r}")
+        return type(self)(*values)
+
+
+def _getter(names: tuple[str, ...]):
+    """obj -> the tuple of its ``names`` attributes."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    get = attrgetter(*names)
+    return lambda obj: (get(obj),)
+
+
+class Matrix(Value):
     """Immutable dense rational matrix M, row-major, stored over the integers.
 
     ``ints`` is den·M flattened, over the one positive ``den`` with
@@ -368,8 +458,7 @@ def rref(m: Matrix) -> Matrix:
     return Subspace(m.cols, m.int_rows()).basis
 
 
-@dataclass(frozen=True, init=False)
-class Subspace:
+class Subspace(Value):
     """A linear subspace of Q^n in canonical integer form.
 
     ``rows`` is the reduced row echelon form of the subspace with each row
@@ -377,7 +466,11 @@ class Subspace:
     form is unique, so two subspaces are equal iff their ``rows`` are, and
     ``pivots`` lists the pivot column of each row.  The constructor takes
     any integer rows of width ``ambient_dim`` and is the one place where
-    the form is made: one ``_eliminate`` of their span.
+    the form is made: one ``_eliminate`` of their span.  It also stores
+    ``pivots`` and the hash of (ambient_dim, rows), the value ``Value``
+    would give; neither is a field.  Subspaces are the memo keys of the
+    series and are hashed and compared several times each, so both read
+    the stored hash first.
 
     The zero subspace has no rows, never a missing object: series
     computations routinely terminate there.
@@ -385,15 +478,28 @@ class Subspace:
 
     ambient_dim: int
     rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, ambient_dim: int, rows: Sequence[Sequence[int]]) -> None:
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError(f"rows must have width {ambient_dim}")
         reduced, pivots = _eliminate(rows, ambient_dim)
+        rows = tuple(map(tuple, reduced))
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", tuple(map(tuple, reduced)))
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_hash", hash((ambient_dim, rows)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.rows == other.rows
+            and self.ambient_dim == other.ambient_dim
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Sequence[Sequence]) -> Subspace:

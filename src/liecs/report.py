@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-
 from .algebra import LieAlgebra, ValidationReport, memoized
 from .complex_structure import (
     ComplexStructure,
@@ -13,7 +11,7 @@ from .complex_structure import (
 )
 from .errors import HypothesisNotMet
 from .j_series import SeriesReport, center_dim_bounds, containment_audit
-from .linalg import format_rational
+from .linalg import Value, format_rational
 from .serialization import SERIES, chain_to_json, subspace_to_json
 from .stratification import (
     Step2Classification,
@@ -25,8 +23,7 @@ from .stratification import (
 from .verdicts import Verdict
 
 
-@dataclass(frozen=True)
-class FullReport:
+class FullReport(Value):
     """Everything the pipeline derived about one input."""
 
     command: str
@@ -90,7 +87,10 @@ class FullReport:
                 ],
             }
         if self.special is not None:
-            doc["special"] = asdict(self.special)
+            doc["special"] = {
+                "abelian": self.special.abelian,
+                "bi_invariant": self.special.bi_invariant,
+            }
         if self.classification is not None:
             c = self.classification
             doc["classification"] = {
@@ -143,31 +143,30 @@ def build_report(
     report = FullReport(command, source, alg.dim, alg.validation, j_name)
     if not report.validation.ok:
         triple = report.validation.first_violation.triple
-        return replace(report, errors=(f"Jacobi identity violated at basis triple {triple}",))
+        return report.replace(errors=(f"Jacobi identity violated at basis triple {triple}",))
     if command == "validate":
         return report
     if cs is None:
         if command in ("series", "classify", "suite"):
-            return replace(report, errors=("command requires a complex structure, none available",))
+            return report.replace(errors=("command requires a complex structure, none available",))
         return report  # report: emit what exists
 
-    report = replace(report, series=cs.series)
+    report = report.replace(series=cs.series)
     if command == "series":
         return report
     twin = cs.twin
-    report = replace(report, integrability=cs.integrability, special=classify_special(twin))
+    report = report.replace(integrability=cs.integrability, special=classify_special(twin))
     try:
         found = classify_step2(twin)
     except HypothesisNotMet as exc:
-        report = replace(report, classification_skip_reason=str(exc))
+        report = report.replace(classification_skip_reason=str(exc))
     else:
         k = cs.algebra.twin.to_input(found.k_subspace)
-        report = replace(report, classification=replace(found, k_subspace=k))
+        report = report.replace(classification=found.replace(k_subspace=k))
     if command == "classify":
         return report
     twin_strat = None if strat is None else strat.on_twin(cs.algebra.twin)
-    return replace(
-        report,
+    return report.replace(
         verdicts=(
             *containment_audit(twin.series),
             center_dim_bounds(twin.series),

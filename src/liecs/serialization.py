@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .algebra import LieAlgebra, SubspaceChain
 from .complex_structure import ComplexStructure, validate_almost_complex
 from .errors import AlgebraFileError
-from .linalg import Matrix, Subspace, format_ratio, format_rational, parse_rational
+from .linalg import Matrix, Subspace, Value, format_ratio, format_rational, parse_rational
 from .stratification import Stratification, stratification_verdict
 
 
@@ -39,8 +38,7 @@ from .stratification import Stratification, stratification_verdict
 MAX_DIM = 64
 
 
-@dataclass(frozen=True)
-class ParsedInput:
+class ParsedInput(Value):
     algebra: LieAlgebra
     complex_structure: ComplexStructure | None
     stratification: Stratification | None

@@ -21,8 +21,6 @@ statement is one more entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     AdaptedInput,
     LieAlgebra,
@@ -41,6 +39,7 @@ from .j_series import SeriesReport
 from .linalg import (
     Matrix,
     Subspace,
+    Value,
     _orthogonal_complement,
     contains,
     subspace_intersection,
@@ -53,8 +52,7 @@ K_PROPER = "k_proper"
 K_FULL = "k_full"
 
 
-@dataclass(frozen=True)
-class Stratification:
+class Stratification(Value):
     """Ordered layers n_1, ..., n_k of a stratified algebra."""
 
     layers: tuple[Subspace, ...]
@@ -72,15 +70,13 @@ class Stratification:
         return Stratification(tuple(map(twin.to_twin, self.layers)))
 
 
-@dataclass(frozen=True)
-class StratificationViolation:
+class StratificationViolation(Value):
     property_name: str
     layer: int
     detail: str
 
 
-@dataclass(frozen=True)
-class StratificationVerdict:
+class StratificationVerdict(Value):
     ok: bool
     violations: tuple[StratificationViolation, ...]
 
@@ -193,8 +189,7 @@ def build_step2_j_stratification(cs: ComplexStructure, phi: Matrix) -> Stratific
     return s
 
 
-@dataclass(frozen=True)
-class Step2Classification:
+class Step2Classification(Value):
     """Trichotomy for a complex structure on a step-2 nilpotent algebra.
 
     ``case`` reflects k = n_2 ∩ J n_2: zero, proper nonzero, or all of
@@ -279,8 +274,7 @@ def blocks_stratification_by_dims(dim: int, descending_dims: tuple[int, ...]) ->
     return all(descending_dims[j] == 2 * n - 2 * j for j in range(n + 1))
 
 
-@dataclass(frozen=True)
-class _Facts:
+class _Facts(Value):
     """What the statements of ``OBSTRUCTIONS`` and ``SUITE`` read.
 
     A stratification ``s`` (or None) on ``alg`` and, for ``SUITE``, the
@@ -348,10 +342,19 @@ def _invariant_stratification_exists(f) -> bool:
 
 
 def _large_twisted_top(f) -> bool:
+    """dim n_2 = 2l >= 4, J n_2 != n_2, J integrable and dim d^1 < 4l - dim k.
+
+    k = n_2 ∩ J n_2 is computed last, so the inputs with J n_2 = n_2 never
+    build it.
+    """
     n2 = f.s.layer(2)
     l2 = n2.dim // 2
     return (
-        n2.dim % 2 == 0 and l2 >= 2 and f.r.d_asc.term(1).dim <= 4 * l2 - 2 and not _fixed(f, n2)
+        n2.dim % 2 == 0
+        and l2 >= 2
+        and not _fixed(f, n2)
+        and f.r.j.integrability.integrable
+        and f.r.d_asc.term(1).dim < 4 * l2 - largest_j_invariant_subspace(f.r.j, n2).dim
     )
 
 
@@ -419,8 +422,16 @@ SUITE = (
           "center dimension profile out of range")),
         lambda f: _fixed(f, f.s.layer(2)) and _invariant_stratification_exists(f),
     ),
-    # Step-2 stratification with top layer of dimension 2l (l >= 2), small
-    # z ∩ Jz, and J not fixing the top layer => J nilpotent of step 3.
+    # Step-2 stratification with top layer n_2 of dimension 2l (l >= 2),
+    # J n_2 != n_2, J integrable, and dim d^1 < 4l - dim k for
+    # k = n_2 ∩ J n_2 => J nilpotent of step 3.  Proof: j0 is 2 or 3, and
+    # j0 = 2 iff J n_2 ⊆ z (``classify_step2``).  If J n_2 ⊆ z, then
+    # n_2 + J n_2 is J-invariant and central, so it lies in d^1 = z ∩ Jz,
+    # and its dimension is 4l - dim k.  So dim d^1 < 4l - dim k forces
+    # j0 = 3.  The bound is proven here, not transcribed from the paper.  The
+    # bound dim d^1 <= 4l - 2 it replaces agrees with it only when k = 0,
+    # and fails on a valid dim-10 input with dim k = 2 and dim d^1 = 6
+    # (``tests/builders.step2_twisted_dim10``).
     Statement(
         "large_twisted_top_layer_step_three",
         ((lambda f: f.strat_ok and f.s.step == 2, "needs a step-2 stratification"),

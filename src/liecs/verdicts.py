@@ -8,16 +8,16 @@ hypothesis or a conclusion into a ``Verdict``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable
+
+from .linalg import Value
 
 PASS = "pass"
 FAIL = "fail"
 HYPOTHESIS_NOT_MET = "hypothesis_not_met"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Outcome of one named check.
 
     ``hypothesis_not_met`` is distinct from ``pass``: a statement whose
@@ -37,8 +37,7 @@ class Verdict:
 Hypothesis = tuple[Callable[[Any], bool], str]
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(Value):
     """A named implication: ordered hypotheses, then a conclusion.
 
     Each hypothesis is a (predicate, not-met reason) pair.  The conclusion

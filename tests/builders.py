@@ -7,7 +7,6 @@ core alone; ``conftest.py`` re-exports every builder for the test modules.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from liecs import (
@@ -104,6 +103,40 @@ def step2_kproper() -> CatalogEntry:
     )
 
 
+def step2_twisted_dim10() -> CatalogEntry:
+    """A dim-10 step-2 algebra with strata, where the standard J has j0 = 2 and dim k = 2.
+
+    [e1, e2] = e5, [e1, e3] = [e2, e4] = e9, [e1, e4] = e8, [e2, e3] = -e8
+    and [e3, e4] = e7, with n_1 = ⟨e1..e4, e6, e10⟩ and n_2 = ⟨e5, e7, e8, e9⟩
+    (l = 2).  J n_2 = ⟨e6, e7, e8, e10⟩ is central, k = ⟨e7, e8⟩ and
+    dim z ∩ Jz = 6 = 4l - dim k: the input on which the old hypothesis
+    dim z ∩ Jz <= 4l - 2 of ``large_twisted_top_layer_step_three`` held
+    while j0 = 2.
+    """
+    brackets = {
+        (1, 2): {5: 1},
+        (1, 3): {9: 1},
+        (2, 4): {9: 1},
+        (1, 4): {8: 1},
+        (2, 3): {8: -1},
+        (3, 4): {7: 1},
+    }
+    alg = LieAlgebra.from_brackets(10, brackets)
+    layers = [[1, 2, 3, 4, 6, 10], [5, 7, 8, 9]]
+    strata = Stratification(
+        tuple(
+            Subspace.from_rows(10, [[int(c == k) for c in range(1, 11)] for k in layer])
+            for layer in layers
+        )
+    )
+    return CatalogEntry(
+        "step2-twisted10",
+        alg,
+        (("standard", validate_almost_complex(alg, standard_block_j(10))),),
+        (("canonical", strata),),
+    )
+
+
 def jacobi_violating(rng: random.Random) -> LieAlgebra:
     """A scrambled kt4 with one structure constant raised by 1 until Jacobi fails."""
     kt4 = builtin("kt4")
@@ -130,4 +163,4 @@ def tilted_strata(entry: CatalogEntry) -> CatalogEntry:
     rows = [list(r) for r in layers[0].basis_rows()]
     rows[0] = [a + b for a, b in zip(rows[0], layers[1].basis_rows()[0])]
     tilted = Subspace.from_rows(entry.algebra.dim, rows)
-    return replace(entry, stratifications=(("tilted", Stratification((tilted, *layers[1:]))),))
+    return entry.replace(stratifications=(("tilted", Stratification((tilted, *layers[1:]))),))

@@ -12,6 +12,7 @@ from builders import (
     jacobi_violating,
     random_invertible,
     step2_kproper,
+    step2_twisted_dim10,
     tilted_strata,
 )
 

@@ -18,6 +18,14 @@ def run_cli(*args):
     return subprocess.run(RUN + list(args), capture_output=True, text=True)
 
 
+def test_import_loads_neither_dataclasses_nor_numpy():
+    """A cold ``import liecs.cli`` pays for no generated dataclass methods and no numpy."""
+    code = "import sys, liecs.cli; print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 # -- exit status contract -----------------------------------------------------
 
 

@@ -10,7 +10,10 @@ whose report reads the input basis only through the fault: a kt4 with
 one structure constant perturbed until Jacobi fails (the report names
 the violated triple of the file's basis), and an rf8 whose first layer
 is tilted into the second (the report names the stratification property
-and layer that fail).  Both exit 1.  The outputs, the scrambled input files and
+and layer that fail).  Both exit 1.  One input is pinned in its own basis
+under ``inputs/`` and run as ``suite`` and ``report`` in JSON: the dim-10
+step-2 algebra of ``builders.step2_twisted_dim10``, on which the theorem
+suite once failed.  The outputs, the input files and
 the exit statuses (``exit_status.json``) must equal the files committed
 under ``tests/golden/``.  ``tests/golden/catalog/`` pins every builtin
 itself: its algebra file with each named J and stratification, and its
@@ -51,6 +54,7 @@ from builders import (
     jacobi_violating,
     random_invertible,
     step2_kproper,
+    step2_twisted_dim10,
     tilted_strata,
 )
 
@@ -86,6 +90,16 @@ def _write_scrambles(workdir: Path) -> list[tuple[str, str]]:
         (workdir / rel).write_bytes(data)
         inputs.append((name, rel))
     return inputs
+
+
+def _write_pinned(workdir: Path) -> list[tuple[str, str]]:
+    """Write the inputs pinned in their own basis; return (name, relative path) for each."""
+    (workdir / "inputs").mkdir()
+    entry = step2_twisted_dim10()
+    rel = f"inputs/{entry.name}.json"
+    data = serialize_algebra(entry.algebra, entry.primary_structure, entry.primary_stratification)
+    (workdir / rel).write_bytes(data)
+    return [(entry.name, rel)]
 
 
 def _write_catalog(workdir: Path) -> None:
@@ -125,6 +139,8 @@ def render(workdir: Path) -> dict[str, bytes]:
     try:
         for name, rel in _write_scrambles(workdir):
             runs.append((f"{name}-scrambled.report.json", [rel, "--cmd", "report"]))
+        for name, rel in _write_pinned(workdir):
+            runs.extend((f"{name}.{cmd}.json", [rel, "--cmd", cmd]) for cmd in ("suite", "report"))
         status = {}
         for out, argv in runs:
             status[out] = main(["-i", *argv, "--out", out])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecs import CatalogEntry, builtin
 from liecs.linalg import (
     Matrix,
     Subspace,
@@ -23,6 +24,7 @@ from liecs.linalg import (
     subspace_sum,
     unpack,
 )
+from liecs.verdicts import Verdict
 
 from conftest import fraction_rref
 
@@ -643,3 +645,84 @@ def test_equal_values_give_equal_matrices_and_hashes_literal():
     assert hash(doubled) == hash(Matrix.from_rows([[2, 0], [0, 2]]))
     assert (doubled.ints, doubled.den) == ((2, 0, 0, 2), 1)
     assert half.scale(2) == Matrix.identity(1) and half.scale(2).den == 1
+
+
+# -- the frozen value base ----------------------------------------------------
+
+
+def _values():
+    """A plain record, a subspace and a matrix, each with its field tuple."""
+    verdict = Verdict("name", "pass")
+    w = Subspace(3, [[2, 0, 4], [0, 3, 0]])
+    m = Matrix.from_rows([[1, "1/2"], [0, 3]])
+    return [
+        (verdict, ("name", "pass", "")),
+        (w, (3, ((1, 0, 2), (0, 1, 0)))),
+        (m, (2, 2, (2, 1, 0, 6), 2)),
+    ]
+
+
+def test_values_are_equal_iff_their_fields_are():
+    for value, fields in _values():
+        assert value._values(value) == fields
+        for other, _ in _values():
+            if type(other) is not type(value):
+                assert value.__eq__(other) is NotImplemented
+                assert value != other
+    assert Verdict("name", "pass") == Verdict(detail="", status="pass", name="name")
+    assert Verdict("name", "pass") != Verdict("name", "fail")
+    assert Verdict("name", "pass").__eq__(("name", "pass", "")) is NotImplemented
+    assert Subspace(3, [[2, 0, 4], [0, 3, 0]]) == Subspace(3, [[0, 1, 0], [1, 1, 2]])
+    assert Subspace(3, [[1, 0, 0]]) != Subspace(3, [[0, 1, 0]])
+    assert Subspace(2, [[1, 0]]) != Subspace(3, [[1, 0, 0]])
+
+
+def test_values_hash_as_their_field_tuple():
+    for value, fields in _values():
+        assert hash(value) == hash(fields)
+    w = Subspace(4, [[0, 2, 2, 0], [1, 0, 0, 1]])
+    assert w._hash == hash((w.ambient_dim, w.rows)) == hash(w)
+    assert w.pivots == (0, 1)
+
+
+def test_values_are_frozen():
+    for value, _ in _values():
+        for name in (*value._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+
+def test_value_constructor_binds_fields_once():
+    assert Verdict("name", status="fail").detail == ""
+    with pytest.raises(TypeError, match="missing"):
+        Verdict("name")
+    with pytest.raises(TypeError, match="multiple"):
+        Verdict("name", "pass", name="other")
+    with pytest.raises(TypeError, match="unexpected"):
+        Verdict("name", "pass", reason="")
+    with pytest.raises(TypeError, match="takes 3"):
+        Verdict("name", "pass", "", "extra")
+    entry = builtin("kt4")
+    bare = CatalogEntry(entry.name, entry.algebra, entry.complex_structures, ())
+    assert dict(bare.expected) == {}
+
+
+def test_replace_keeps_the_other_fields_and_rejects_an_unknown_one():
+    verdict = Verdict("name", "pass", "why")
+    assert verdict.replace() == verdict
+    assert verdict.replace(status="fail") == Verdict("name", "fail", "why")
+    with pytest.raises(TypeError):
+        verdict.replace(reason="")
+    w = Subspace(3, [[1, 0, 0]])
+    assert w.replace() == w
+    moved = w.replace(rows=[[0, 2, 0]])
+    assert moved == Subspace(3, [[0, 1, 0]]) and moved.pivots == (1,)
+    with pytest.raises(TypeError):
+        w.replace(pivots=(1,))
+
+
+def test_repr_names_the_fields_only():
+    assert repr(Verdict("name", "pass")) == "Verdict(name='name', status='pass', detail='')"
+    assert repr(Subspace(2, [[2, 0]])) == "Subspace(ambient_dim=2, rows=((1, 0),))"

@@ -18,7 +18,13 @@ from liecs import (
 from liecs.linalg import basis_vector, subspace_sum
 from liecs.verdicts import FAIL, HYPOTHESIS_NOT_MET, PASS
 
-from conftest import conjugate_entry, random_invertible, random_spd, tilted_strata
+from conftest import (
+    conjugate_entry,
+    random_invertible,
+    random_spd,
+    step2_twisted_dim10,
+    tilted_strata,
+)
 
 
 def span(n, *indices):
@@ -419,6 +425,16 @@ def test_suite_rf8_step3_statements_fire():
         assert verdicts[name].status == PASS, name
     # the twisted-third-layer statement stays vacuous: J fixes n_3 here
     assert verdicts["eight_dim_twisted_third_layer_step_four"].status == HYPOTHESIS_NOT_MET
+
+
+def test_suite_large_twisted_top_needs_the_proven_bound():
+    """dim z ∩ Jz = 6 = 4l - dim k on the dim-10 input, where j0 = 2: the statement does not apply.
+
+    The bound dim z ∩ Jz <= 4l - 2 it replaced held here, so the statement failed.
+    """
+    verdicts = suite_by_name(step2_twisted_dim10())
+    assert verdicts["large_twisted_top_layer_step_three"].status == HYPOTHESIS_NOT_MET
+    assert not any(v.failed for v in verdicts.values())
 
 
 def test_suite_abelian_all_sectional_statements_vacuous():
