@@ -20,11 +20,10 @@ ends at an exact check runs without it.  Above dimension
 its exact check.
 
 A failing restart is kept cheap at both of its costs, and neither changes
-what a search returns.  The optimizer stops once its recent rate of
-progress cannot bring the residual below the threshold in the steps it
-has left.  A snapped candidate whose Nijenhuis values are nonzero modulo
-a prime (``_residue_rejects``) is rejected before its exact inverse and
-the gate: such a residue can prove non-integrability, never integrability.
+what a search returns.  The optimizer stops once its recent rate cannot
+reach the threshold in the steps it has left.  A snapped candidate is
+rejected before the gate when the optimizer's residual, on integers mod a
+16-bit prime, is nonzero (``_residue_rejects``): it can only reject.
 """
 
 from __future__ import annotations
@@ -55,8 +54,9 @@ MAX_OPTIMIZER_DIM = 24
 # the optimizer measures its rate of progress (see ``_float_optimizer``).
 STEPS = 200
 RATE_WINDOW = 10
-# The primes of ``_residue_rejects``, tried in turn until one is usable.
-RESIDUE_PRIMES = (2**61 - 1, 2**64 - 59, 2**31 - 1)
+# The primes of ``_residue_rejects``, tried in turn until one is usable: the
+# two largest below 2¹⁶, where its int64 arithmetic is exact up to n = 64.
+RESIDUE_PRIMES = (65521, 65519)
 
 
 def _verify_candidate(alg: LieAlgebra, j: Matrix) -> ComplexStructure | None:
@@ -73,30 +73,35 @@ def _verify_candidate(alg: LieAlgebra, j: Matrix) -> ComplexStructure | None:
 def _residue_rejects(alg: LieAlgebra, j0: Matrix, p: Matrix) -> bool:
     """True when a residue proves that J = P J0 P⁻¹ is not integrable.
 
-    With B = D·[ , ] the integer tensor, D·N(e_a, e_b) = B(Je_a, Je_b) −
-    B(e_a, e_b) − J(B(Je_a, e_b) − B(Je_b, e_a)) is a polynomial with
-    integer coefficients in the entries of J.  For a prime ℓ that divides
-    neither D nor the denominator of P, with P invertible mod ℓ, reduction
-    mod ℓ respects all of it, and J mod ℓ = P J0 P⁻¹ computed mod ℓ.  So a
-    nonzero value mod ℓ proves N(J) ≠ 0.  A zero one proves nothing, and
-    with no usable prime nothing is decided: the candidate then goes to the
-    exact gate.  This check may reject, never accept (the modular method:
-    von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed., 2013,
-    ch. 5).  Pure Python, O(n⁴) at most, and it stops at the first pair
-    with a nonzero value.
+    The residue is ``_nijenhuis_residual(c, J) mod ℓ`` on int64 arrays, with
+    c = D·C the integer tensor: D·N(J) is a polynomial in J with integer
+    coefficients, and J = Q J0 Q⁻¹ for the integer Q = den·P (``p.ints``).
+    For a prime ℓ that does not divide D, with Q invertible mod ℓ, reduction
+    mod ℓ respects all of it, so a nonzero value proves N(J) ≠ 0.  A zero
+    one, or no usable prime, leaves the candidate to the exact gate (the
+    modular method: von zur Gathen and Gerhard, *Modern Computer Algebra*,
+    3rd ed., 2013, ch. 5).  int64 is exact: with every entry of c and J in
+    [0, ℓ), each intermediate of ``_pair_form`` is within 2n²ℓ³ + ℓ, below
+    2⁶¹ for ℓ < 2¹⁶ and n ≤ 64 (``serialization.MAX_DIM``), and each one
+    that builds J within n·ℓ² < 2³⁹.
     """
+    import numpy as np
+
+    assert j0.den == 1, "J0 is integral"
     n, (d, rows) = alg.dim, alg.tensor
     for ell in RESIDUE_PRIMES:
-        if d % ell == 0 or p.den % ell == 0:
+        q = [[a % ell for a in p.ints[r * n : (r + 1) * n]] for r in range(n)]
+        q_inv = _inverse_mod(q, ell) if d % ell else None
+        if q_inv is None:
             continue
-        q_inv = pow(p.den, -1, ell)
-        p_mod = [[a * q_inv % ell for a in p.ints[r * n : (r + 1) * n]] for r in range(n)]
-        p_inv = _inverse_mod(p_mod, ell)
-        if p_inv is None:
-            continue
-        j0_rows = [list(j0.ints[r * n : (r + 1) * n]) for r in range(n)]
-        j = _matmul_mod(_matmul_mod(p_mod, j0_rows, ell), p_inv, ell)
-        return not _nijenhuis_vanishes_mod(n, rows, j, ell)
+        c = np.zeros((n, n, n), dtype=np.int64)
+        for a, row_a in enumerate(rows):  # both orders a, b are stored
+            for b, row in enumerate(row_a):
+                for k, v in row:
+                    c[a, b, k] = v % ell
+        q, q_inv, j0_mod = (np.array(m, dtype=np.int64) % ell for m in (q, q_inv, j0.int_rows()))
+        j = q @ j0_mod % ell @ q_inv % ell
+        return bool(np.any(_nijenhuis_residual(c, j) % ell))
     return False
 
 
@@ -116,49 +121,6 @@ def _inverse_mod(m: list[list[int]], ell: int) -> list[list[int]] | None:
             if r != c and factor:
                 work[r] = [(a - factor * b) % ell for a, b in zip(work[r], work[c])]
     return [row[n:] for row in work]
-
-
-def _matmul_mod(a: list[list[int]], b: list[list[int]], ell: int) -> list[list[int]]:
-    columns = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % ell for col in columns] for row in a]
-
-
-def _nijenhuis_vanishes_mod(n: int, rows, j: list[list[int]], ell: int) -> bool:
-    """Whether D·N(e_a, e_b) ≡ 0 mod ``ell`` for every pair a < b, J given mod ``ell``.
-
-    ``rows`` is ``LieAlgebra.tensor[1]``.  Row a of the table ``left``,
-    B(Je_a, e_i) for every i, is built when a pair first needs it.
-    """
-    left: list[list[list[int]] | None] = [None] * n
-
-    def left_of(a: int) -> list[list[int]]:
-        if left[a] is None:
-            table = [[0] * n for _ in range(n)]
-            for i in range(n):
-                x = j[i][a]
-                if x:
-                    for col, out in zip(rows[i], table):
-                        for k, c in col:
-                            out[k] += x * c
-            left[a] = [[v % ell for v in out] for out in table]
-        return left[a]
-
-    for a in range(n):
-        la = left_of(a)
-        for b in range(a + 1, n):
-            lb = left_of(b)
-            value = [0] * n  # B(Je_a, Je_b) = Σ_i J[i][b]·B(Je_a, e_i)
-            for i in range(n):
-                x = j[i][b]
-                if x:
-                    value = [v + x * w for v, w in zip(value, la[i])]
-            for k, c in rows[a][b]:
-                value[k] -= c
-            inner = [x - y for x, y in zip(la[b], lb[a])]
-            for r in range(n):
-                if (value[r] - sum(x * y for x, y in zip(j[r], inner))) % ell:
-                    return False
-    return True
 
 
 def _float_tensor(alg: LieAlgebra) -> np.ndarray:
@@ -258,9 +220,7 @@ def _float_optimizer(alg: LieAlgebra, j0: Matrix):
     (``RATE_WINDOW``) on, when f·(f / f_{k−10})^((STEPS − k)/10) is still
     at least ``DEFAULT_THRESHOLD``, that is when the geometric rate of the
     last ten steps, kept up over the remaining ones, would leave f above
-    the threshold, whose optimum would not be snapped anyway.  On f4,
-    which has no integrable J, a restart so stops after 54 Jacobians
-    instead of 194, at f = 1.2e-6 instead of 2.1e-8.
+    the threshold, whose optimum would not be snapped anyway.
     """
     import numpy as np
 

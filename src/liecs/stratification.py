@@ -435,7 +435,9 @@ SUITE = (
     Statement(
         "large_twisted_top_layer_step_three",
         ((lambda f: f.strat_ok and f.s.step == 2, "needs a step-2 stratification"),
-         (_large_twisted_top, "needs dim n_2 = 2l >= 4, small z ∩ Jz, and J n_2 != n_2")),
+         (_large_twisted_top,
+          "needs dim n_2 = 2l >= 4, J n_2 != n_2, J integrable, "
+          "and dim z ∩ Jz < 4l - dim(n_2 ∩ J n_2)")),
         _j0_is(3),
     ),
     # Step-k stratification, J nilpotent of step k, 2-dimensional terminal

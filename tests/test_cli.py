@@ -95,6 +95,22 @@ def test_step2_proper_k_with_step_two_passes_every_command(tmp_path, capsys, bas
             assert doc["classification"]["predicted_j0"] == 2
 
 
+def test_inconsistency_error_propagates_out_of_main(monkeypatch, capsys):
+    """An ``InconsistencyError`` refutes the implementation, not the input.
+
+    The CLI does not catch it: it reaches the caller as a traceback, with no
+    partial document on stdout and no exit status of its own.
+    """
+    import liecs.j_series as js
+    from liecs import InconsistencyError, Subspace, SubspaceChain
+
+    # the three j0 routes agree by theorem; a truncated p-chain makes them disagree
+    monkeypatch.setattr(js, "p_series", lambda cs: SubspaceChain((Subspace.full(4),)))
+    with pytest.raises(InconsistencyError, match="routes disagree"):
+        main(["-i", "kt4", "--cmd", "series"])
+    assert capsys.readouterr().out == ""
+
+
 def test_jacobi_violation_file_exits_one_and_names_triple(tmp_path):
     bad = {
         "dim": 4,

@@ -281,8 +281,9 @@ def test_a_prime_dividing_a_denominator_falls_through_to_the_gate(monkeypatch):
     f4, j0, identity = builtin("f4").algebra, search_module.standard_block_j(4), Matrix.identity(4)
     product = prod(search_module.RESIDUE_PRIMES)
     assert search_module._residue_rejects(f4, j0, identity)
-    # P = I/product conjugates J0 to itself, but every prime divides its denominator
-    assert not search_module._residue_rejects(f4, j0, identity.scale(Fraction(1, product)))
+    # P = I/product conjugates J0 to itself; the residue reads den·P = I, so
+    # a prime dividing the denominator of P still decides
+    assert search_module._residue_rejects(f4, j0, identity.scale(Fraction(1, product)))
     # every prime divides D: f4's structure constants over product
     scaled = LieAlgebra.from_brackets(
         4,
@@ -303,6 +304,35 @@ def test_a_prime_dividing_a_denominator_falls_through_to_the_gate(monkeypatch):
     monkeypatch.setattr(search_module, "RESIDUE_PRIMES", ())
     assert find_complex_structure(scrambled_kt4(), seed=2, budget=25).matrix == with_residue.matrix
     assert len(counted) - calls > calls
+
+
+def pair_value(c, j, a, b, k):
+    """One value of ``_pair_form(c, j, j) - c`` in Python ints, from its definition."""
+    n = len(j)
+    left = lambda a, m, k: sum(j[i][a] * c[i][m][k] for i in range(n))
+    first = sum(left(a, m, k) * j[m][b] for m in range(n))
+    second = sum((left(a, b, m) - left(b, a, m)) * j[k][m] for m in range(n))
+    return first - second - c[a][b][k]
+
+
+@pytest.mark.parametrize("ell", search_module.RESIDUE_PRIMES)
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_residue_arithmetic_is_exact_in_int64(ell, n):
+    # the extremes of the bound in ``_residue_rejects``: every entry of J is
+    # ℓ − 1, and so is every c[i, m, k] with m < n − 1, the others 0; then
+    # the left table reaches n(ℓ − 1)² and its skew part ±n(ℓ − 1)², and the
+    # values on the pairs (a, n − 1) reach (2n − 1)·n·(ℓ − 1)³, near 2n²ℓ³
+    top = ell - 1
+    c = np.zeros((n, n, n), dtype=np.int64)
+    c[:, : n - 1, :] = top
+    j = np.full((n, n), top, dtype=np.int64)
+    values = search_module._nijenhuis_residual(c, j).reshape(-1, n)
+    pairs = list(zip(*search_module._upper_pairs(n)))
+    c_ints, j_ints = c.tolist(), j.tolist()
+    for a, b in {pairs[0], pairs[-1], (0, n - 1)}:
+        expected = [pair_value(c_ints, j_ints, a, b, k) for k in range(n)]
+        assert values[pairs.index((a, b))].tolist() == expected, (a, b)
+    assert int(values.max()) == (2 * n - 1) * n * top**3
 
 
 def f4_padded(dim):
