@@ -128,7 +128,8 @@ def build_report(
 
     Stages nest: validate ⊂ series ⊂ classify ⊂ suite = report.  Commands
     needing a complex structure error out (in-band) when none is
-    available; ``cs`` must be bound to ``alg`` (ValueError otherwise).
+    available; ``cs`` must be bound to ``alg`` and the layers of ``strat``
+    must lie in its space (ValueError otherwise, in every basis).
 
     Each field is set once, from its owner: ``validation`` from ``alg``,
     ``series`` and ``integrability`` from ``cs`` (decided on ``cs.twin``,
@@ -139,6 +140,8 @@ def build_report(
     """
     if cs is not None and cs.algebra != alg:
         raise ValueError("the complex structure is bound to a different algebra")
+    if strat is not None and any(layer.ambient_dim != alg.dim for layer in strat.layers):
+        raise ValueError("map width does not match ambient dimension")
     j_name = j_name if cs is not None else None
     report = FullReport(command, source, alg.dim, alg.validation, j_name)
     if not report.validation.ok:

@@ -12,18 +12,19 @@ matrices P.  Each restart draws a rational P, first checks the conjugated
 structure exactly (this finds e.g. the standard structure immediately),
 then drives the Nijenhuis residual vector to zero in floats with a
 Levenberg–Marquardt loop on an analytic Jacobian, and, when the squared
-residual is below ``DEFAULT_THRESHOLD``, tries to snap the optimum back to
-rationals with the denominator caps of ``SNAP_CAPS`` in turn.  numpy is
-loaded only when a restart first reaches the optimizer, so a search that
-ends at an exact check runs without it.  Above dimension
+residual is below ``DEFAULT_THRESHOLD``, snaps the optimum P to one common
+denominator, round(q·P)/q for q = 1, …, ``SNAP_DENOMINATOR`` in turn (a
+simultaneous Diophantine approximation: Lagarias, SIAM J. Comput. 14,
+1985).  numpy is loaded only when a restart first reaches the optimizer,
+so a search that ends at an exact check runs without it.  Above dimension
 ``MAX_OPTIMIZER_DIM`` the optimizer is never run and each restart ends at
 its exact check.
 
 A failing restart is kept cheap at both of its costs, and neither changes
 what a search returns.  The optimizer stops once its recent rate cannot
 reach the threshold in the steps it has left.  A snapped candidate is
-rejected before the gate when the optimizer's residual, on integers mod a
-16-bit prime, is nonzero (``_residue_rejects``): it can only reject.
+rejected before the gate when the optimizer's residual, on Q = round(q·P)
+mod a 16-bit prime, is nonzero (``_residue_rejects``): it can only reject.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ if TYPE_CHECKING:
 
 DEFAULT_RESTARTS = 100
 DEFAULT_THRESHOLD = 1e-10
-# Denominator caps tried, smallest first, on an optimum below the threshold.
-SNAP_CAPS = (*(4**k for k in range(10)), 10**6)
+# An optimum P below the threshold snaps to round(q·P)/q for q = 1, 2, …, this.
+SNAP_DENOMINATOR = 12
 # Each Levenberg–Marquardt step holds the Jacobian, n⁵/2 floats, and lstsq
 # copies it: one optimizer run on a scrambled ch6⁴ (dim 24) peaks at about
 # 100 MB of arrays and takes about a minute, and these grow as n⁵ and n⁷.
@@ -54,9 +55,9 @@ MAX_OPTIMIZER_DIM = 24
 # the optimizer measures its rate of progress (see ``_float_optimizer``).
 STEPS = 200
 RATE_WINDOW = 10
-# The primes of ``_residue_rejects``, tried in turn until one is usable: the
-# two largest below 2¹⁶, where its int64 arithmetic is exact up to n = 64.
-RESIDUE_PRIMES = (65521, 65519)
+# The prime of ``_residue_rejects``: the largest below 2¹⁶, where its int64
+# arithmetic is exact up to n = 64.
+RESIDUE_PRIME = 65521
 
 
 def _verify_candidate(alg: LieAlgebra, j: Matrix) -> ComplexStructure | None:
@@ -70,39 +71,49 @@ def _verify_candidate(alg: LieAlgebra, j: Matrix) -> ComplexStructure | None:
     return cs
 
 
-def _residue_rejects(alg: LieAlgebra, j0: Matrix, p: Matrix) -> bool:
-    """True when a residue proves that J = P J0 P⁻¹ is not integrable.
+def _dense_forms(alg: LieAlgebra, j0: Matrix) -> tuple[tuple[np.ndarray, ...], ...]:
+    """(C, J0) in floats and (D·C, J0) mod ``RESIDUE_PRIME`` in int64, once per search.
 
-    The residue is ``_nijenhuis_residual(c, J) mod ℓ`` on int64 arrays, with
-    c = D·C the integer tensor: D·N(J) is a polynomial in J with integer
-    coefficients, and J = Q J0 Q⁻¹ for the integer Q = den·P (``p.ints``).
-    For a prime ℓ that does not divide D, with Q invertible mod ℓ, reduction
-    mod ℓ respects all of it, so a nonzero value proves N(J) ≠ 0.  A zero
-    one, or no usable prime, leaves the candidate to the exact gate (the
-    modular method: von zur Gathen and Gerhard, *Modern Computer Algebra*,
-    3rd ed., 2013, ch. 5).  int64 is exact: with every entry of c and J in
-    [0, ℓ), each intermediate of ``_pair_form`` is within 2n²ℓ³ + ℓ, below
-    2⁶¹ for ℓ < 2¹⁶ and n ≤ 64 (``serialization.MAX_DIM``), and each one
-    that builds J within n·ℓ² < 2³⁹.
+    One pass over ``alg.tensor``: C_ab^k = v / D is correctly rounded like
+    float(Fraction(v, D)).
     """
     import numpy as np
 
-    assert j0.den == 1, "J0 is integral"
     n, (d, rows) = alg.dim, alg.tensor
-    for ell in RESIDUE_PRIMES:
-        q = [[a % ell for a in p.ints[r * n : (r + 1) * n]] for r in range(n)]
-        q_inv = _inverse_mod(q, ell) if d % ell else None
-        if q_inv is None:
-            continue
-        c = np.zeros((n, n, n), dtype=np.int64)
-        for a, row_a in enumerate(rows):  # both orders a, b are stored
-            for b, row in enumerate(row_a):
-                for k, v in row:
-                    c[a, b, k] = v % ell
-        q, q_inv, j0_mod = (np.array(m, dtype=np.int64) % ell for m in (q, q_inv, j0.int_rows()))
-        j = q @ j0_mod % ell @ q_inv % ell
-        return bool(np.any(_nijenhuis_residual(c, j) % ell))
-    return False
+    c_float, c_mod = np.zeros((n, n, n)), np.zeros((n, n, n), dtype=np.int64)
+    for a, row_a in enumerate(rows):  # both orders a, b are stored
+        for b, row in enumerate(row_a):
+            for k, v in row:
+                c_float[a, b, k], c_mod[a, b, k] = v / d, v % RESIDUE_PRIME
+    assert j0.den == 1, "J0 is integral"
+    j0_ints = np.array(j0.int_rows(), dtype=np.int64)
+    return (c_float, j0_ints.astype(float)), (c_mod, j0_ints % RESIDUE_PRIME)
+
+
+def _residue_rejects(c: np.ndarray, j0: np.ndarray, ints: list[int]) -> bool:
+    """True when a residue proves that J = Q J0 Q⁻¹ is not integrable.
+
+    ``c`` and ``j0`` are the residue forms of ``_dense_forms`` and ``ints``
+    is Q row-major.  The residue is ``_nijenhuis_residual(c, J) mod ℓ`` on
+    int64 arrays: D·N(J) is a polynomial with integer coefficients in J and
+    c = D·C, whatever D is, so with Q invertible mod ℓ a nonzero value
+    proves N(J) ≠ 0.  A zero one, or Q singular mod ℓ, leaves the candidate
+    to the exact gate (the modular method: von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, 3rd ed., 2013, ch. 5).  int64 is exact: with
+    every entry of c and J in [0, ℓ), each intermediate of ``_pair_form``
+    is within 2n²ℓ³ + ℓ, below 2⁶¹ for ℓ < 2¹⁶ and n ≤ 64
+    (``serialization.MAX_DIM``), and each one that builds J within
+    n·ℓ² < 2³⁹.
+    """
+    import numpy as np
+
+    n, ell = len(j0), RESIDUE_PRIME
+    q_mod = [[a % ell for a in ints[r * n : (r + 1) * n]] for r in range(n)]
+    q_inv = _inverse_mod(q_mod, ell)
+    if q_inv is None:
+        return False
+    j = np.array(q_mod, dtype=np.int64) @ j0 % ell @ np.array(q_inv, dtype=np.int64) % ell
+    return bool(np.any(_nijenhuis_residual(c, j) % ell))
 
 
 def _inverse_mod(m: list[list[int]], ell: int) -> list[list[int]] | None:
@@ -121,19 +132,6 @@ def _inverse_mod(m: list[list[int]], ell: int) -> list[list[int]] | None:
             if r != c and factor:
                 work[r] = [(a - factor * b) % ell for a, b in zip(work[r], work[c])]
     return [row[n:] for row in work]
-
-
-def _float_tensor(alg: LieAlgebra) -> np.ndarray:
-    """c[i, j, k] = C_ij^k / D, correctly rounded like float(Fraction(C_ij^k, D))."""
-    import numpy as np
-
-    d = alg.tensor[0]
-    c = np.zeros((alg.dim, alg.dim, alg.dim))
-    for i, j, row in alg.nonzero_rows():
-        for k, v in row:
-            c[i, j, k] = v / d
-        c[j, i] = -c[i, j]
-    return c
 
 
 @cache
@@ -203,18 +201,19 @@ def _random_rational_invertible(rng: random.Random, n: int) -> tuple[Matrix, Mat
             continue
 
 
-def _float_optimizer(alg: LieAlgebra, j0: Matrix):
+def _float_optimizer(c_tensor: np.ndarray, j0_float: np.ndarray):
     """The float machinery of one search: ``P ↦ (f, P*)``, P flattened.
 
-    Built at most once per call, when a restart first fails its exact
-    check.  Levenberg–Marquardt on the residual vector, at most ``STEPS``
-    steps, with Nielsen's damping update (Madsen, Nielsen and Tingleff,
-    *Methods for non-linear least squares problems*, 2004, algorithm 3.16).
-    Each step solves min |r + Jac·h|² + μ|h|² by ``lstsq`` on the stacked
-    system, so JacᵀJac, singular along the directions of P that leave J
-    unchanged, is never formed.  A trial ``P`` whose ``slogdet`` is below
-    −16 is rejected like one that raises the residual.  ``f`` is the
-    final squared norm of the residual vector.
+    Built at most once per call, from the float forms of ``_dense_forms``,
+    when a restart first fails its exact check.  Levenberg–Marquardt on
+    the residual vector, at most ``STEPS`` steps, with Nielsen's damping
+    update (Madsen, Nielsen and Tingleff, *Methods for non-linear least
+    squares problems*, 2004, algorithm 3.16).  Each step solves
+    min |r + Jac·h|² + μ|h|² by ``lstsq`` on the stacked system, so JacᵀJac,
+    singular along the directions of P that leave J unchanged, is never
+    formed.  A trial ``P`` whose ``slogdet`` is below −16 is rejected like
+    one that raises the residual.  ``f`` is the final squared norm of the
+    residual vector.
 
     The loop also stops on its rate of progress: from step k = 10
     (``RATE_WINDOW``) on, when f·(f / f_{k−10})^((STEPS − k)/10) is still
@@ -224,9 +223,7 @@ def _float_optimizer(alg: LieAlgebra, j0: Matrix):
     """
     import numpy as np
 
-    n = alg.dim
-    c_tensor = _float_tensor(alg)
-    j0_float = np.array([[float(x) for x in j0.row(r)] for r in range(n)])
+    n = len(j0_float)
 
     def point(p: np.ndarray):
         """(residual, J, P⁻¹) at P, or None where the determinant guard rejects P."""
@@ -290,7 +287,7 @@ def find_complex_structure(
     n = alg.dim
     j0 = standard_block_j(n)
     rng = random.Random(seed)
-    optimize = None
+    optimize = residues = None
     identity = Matrix.identity(n)
 
     for restart in range(budget):
@@ -302,14 +299,16 @@ def find_complex_structure(
         if n > MAX_OPTIMIZER_DIM:
             continue
         if optimize is None:
-            optimize = _float_optimizer(alg, j0)
+            floats, residues = _dense_forms(alg, j0)
+            optimize = _float_optimizer(*floats)
         f, p_float = optimize(p_exact)
         if f >= DEFAULT_THRESHOLD:
             continue
-        for cap in SNAP_CAPS:
-            p_hat = Matrix(n, n, [Fraction(v).limit_denominator(cap) for v in p_float])
-            if _residue_rejects(alg, j0, p_hat):
+        for den in range(1, SNAP_DENOMINATOR + 1):
+            ints = [round(den * v) for v in p_float.tolist()]
+            if _residue_rejects(*residues, ints):
                 continue
+            p_hat = Matrix(n, n, ints).scale(Fraction(1, den))
             try:
                 p_inv = p_hat.inverse()
             except ValueError:  # singular

@@ -1,14 +1,16 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from liecs import build_report, builtin, catalog_names, serialize_algebra
+from liecs import Stratification, Subspace, build_report, builtin, catalog_names, serialize_algebra
 from liecs.cli import _build_parser, main
 from liecs.serialization import MAX_DIM
 
+from builders import conjugate_entry, random_invertible
 from conftest import step2_kproper
 
 RUN = [sys.executable, "-m", "liecs.cli"]
@@ -72,6 +74,19 @@ def test_build_report_rejects_structure_of_another_algebra():
     fr6, ch6 = builtin("fr6"), builtin("ch6")
     with pytest.raises(ValueError, match="bound to a different algebra"):
         build_report("report", "fr6", fr6.algebra, ch6.primary_structure, "standard")
+
+
+@pytest.mark.parametrize("basis", ["own", "scrambled"])
+def test_build_report_rejects_layers_outside_the_algebra_in_every_basis(basis):
+    # the CLI's parse gate checks the layers, so only a direct call gets here;
+    # the error must not depend on whether the twin moves the layers
+    ch6 = builtin("ch6")
+    alg, cs = ch6.algebra, ch6.primary_structure
+    if basis == "scrambled":
+        alg, cs, _ = conjugate_entry(ch6, random_invertible(random.Random(3), 6))
+    strat = Stratification((Subspace.full(4),))
+    with pytest.raises(ValueError, match="map width does not match ambient dimension"):
+        build_report("report", "ch6", alg, cs, "standard", strat)
 
 
 @pytest.mark.parametrize("basis", ["own", "scrambled"])
