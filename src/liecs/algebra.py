@@ -127,12 +127,15 @@ class LieAlgebra(Value):
     [e_i, e_j] = Σ_k coefficients[k] e_k, a zero bracket given or omitted.
     ``tensor`` is (D, rows): rows[i][j] lists the (k, c) with c ≠ 0 in
     D·[e_i, e_j]; rows[j][i] is its negation and rows[i][i] is empty.
+    ``dim`` is at least 1, as in the algebra file format.
     """
 
     dim: int
     tensor: tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]
 
     def __init__(self, dim: int, structure: Sequence[tuple[int, int, Sequence]]) -> None:
+        if dim < 1:
+            raise ValueError(f"dimension must be at least 1, got {dim}")
         seen = set()
         for i, j, coeffs in structure:
             if not (0 <= i < j < dim):

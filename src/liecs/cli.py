@@ -16,11 +16,11 @@ from . import __version__
 from .catalog import builtin, catalog_names
 from .errors import AlgebraFileError
 from .linalg import format_rational
-from .report import build_report
+from .report import REPORT_COMMANDS, build_report
 from .search import DEFAULT_RESTARTS, find_complex_structure
 from .serialization import parse_algebra_file, serialize_report
 
-COMMANDS = ("validate", "series", "classify", "suite", "search", "report")
+COMMANDS = (*REPORT_COMMANDS[:-1], "search", REPORT_COMMANDS[-1])
 
 USAGE_ERROR = 2
 

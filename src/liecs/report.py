@@ -22,6 +22,9 @@ from .stratification import (
 )
 from .verdicts import Verdict
 
+# The commands of ``build_report``, each stage nested in the next.
+REPORT_COMMANDS = ("validate", "series", "classify", "suite", "report")
+
 
 class FullReport(Value):
     """Everything the pipeline derived about one input."""
@@ -129,7 +132,8 @@ def build_report(
     Stages nest: validate ⊂ series ⊂ classify ⊂ suite = report.  Commands
     needing a complex structure error out (in-band) when none is
     available; ``cs`` must be bound to ``alg`` and the layers of ``strat``
-    must lie in its space (ValueError otherwise, in every basis).
+    must lie in its space (ValueError otherwise, in every basis).  A
+    command outside ``REPORT_COMMANDS`` raises ValueError.
 
     Each field is set once, from its owner: ``validation`` from ``alg``,
     ``series`` and ``integrability`` from ``cs`` (decided on ``cs.twin``,
@@ -138,6 +142,9 @@ def build_report(
     ``AdaptedInput.to_input``, and the verdicts from ``cs.twin``, its
     series and the strata, which are moved to the twin for them only.
     """
+    if command not in REPORT_COMMANDS:
+        names = ", ".join(REPORT_COMMANDS)
+        raise ValueError(f"unknown report command {command!r}: one of {names}")
     if cs is not None and cs.algebra != alg:
         raise ValueError("the complex structure is bound to a different algebra")
     if strat is not None and any(layer.ambient_dim != alg.dim for layer in strat.layers):

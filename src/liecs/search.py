@@ -8,17 +8,20 @@ discarded, never returned.
 
 Candidates are parametrized as J = P J0 P⁻¹ with J0 the standard block
 structure, so J² = -I holds identically and the search space is invertible
-matrices P.  Each restart draws a rational P, first checks the conjugated
-structure exactly (this finds e.g. the standard structure immediately),
-then drives the Nijenhuis residual vector to zero in floats with a
-Levenberg–Marquardt loop on an analytic Jacobian, and, when the squared
-residual is below ``DEFAULT_THRESHOLD``, snaps the optimum P to one common
-denominator, round(q·P)/q for q = 1, …, ``SNAP_DENOMINATOR`` in turn (a
-simultaneous Diophantine approximation: Lagarias, SIAM J. Comput. 14,
-1985).  numpy is loaded only when a restart first reaches the optimizer,
-so a search that ends at an exact check runs without it.  Above dimension
-``MAX_OPTIMIZER_DIM`` the optimizer is never run and each restart ends at
-its exact check.
+matrices P.  The search checks J0 itself exactly once (this finds e.g. the
+standard structure immediately).  Then each restart drives the Nijenhuis
+residual vector to zero in floats with a Levenberg–Marquardt loop on an
+analytic Jacobian, from P = I at restart 0 and from a drawn rational P
+after it, and, when the squared residual is below ``DEFAULT_THRESHOLD``,
+snaps the optimum P to one common denominator, round(q·P)/q for q = 1, …,
+``SNAP_DENOMINATOR`` in turn (a simultaneous Diophantine approximation:
+Lagarias, SIAM J. Comput. 14, 1985).  A drawn P needs no exact check of
+its own: where P J0 P⁻¹ is integrable, P is a zero of the residual, so the
+loop stops at once, and its entries are k/1 or k/2, so the snap reaches P
+itself by q = 2.  numpy is loaded only when the check of J0 fails, so a
+search that ends there runs without it.  Above dimension
+``MAX_OPTIMIZER_DIM`` the optimizer is never run and the search ends at
+that check.
 
 A failing restart is kept cheap at both of its costs, and neither changes
 what a search returns.  The optimizer stops once its recent rate cannot
@@ -37,7 +40,7 @@ from typing import TYPE_CHECKING
 from .algebra import LieAlgebra
 from .catalog import standard_block_j
 from .complex_structure import ComplexStructure, is_integrable, validate_almost_complex
-from .linalg import Matrix
+from .linalg import Matrix, Subspace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,7 +52,7 @@ SNAP_DENOMINATOR = 12
 # Each Levenberg–Marquardt step holds the Jacobian, n⁵/2 floats, and lstsq
 # copies it: one optimizer run on a scrambled ch6⁴ (dim 24) peaks at about
 # 100 MB of arrays and takes about a minute, and these grow as n⁵ and n⁷.
-# Above this dimension a restart ends at its exact check.
+# Above this dimension the search ends at the exact check of J0.
 MAX_OPTIMIZER_DIM = 24
 # Levenberg–Marquardt steps per restart at most, and the window over which
 # the optimizer measures its rate of progress (see ``_float_optimizer``).
@@ -188,30 +191,26 @@ def _nijenhuis_jacobian(c: np.ndarray, j: np.ndarray, p_inv: np.ndarray) -> np.n
     return jac_t.T
 
 
-def _random_rational_invertible(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
+def _random_rational_invertible(rng: random.Random, n: int) -> Matrix:
+    """A seeded P with entries k/d, |k| ≤ 3, d in {1, 2}; a singular draw is drawn again."""
     while True:
-        rows = [
-            [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(n)]
-            for _ in range(n)
-        ]
-        m = Matrix.from_rows(rows)
-        try:
-            return m, m.inverse()
-        except ValueError:  # singular: draw again
-            continue
+        entries = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(n * n)]
+        m = Matrix(n, n, entries)
+        if Subspace(n, m.int_rows()).dim == n:
+            return m
 
 
 def _float_optimizer(c_tensor: np.ndarray, j0_float: np.ndarray):
     """The float machinery of one search: ``P ↦ (f, P*)``, P flattened.
 
-    Built at most once per call, from the float forms of ``_dense_forms``,
-    when a restart first fails its exact check.  Levenberg–Marquardt on
-    the residual vector, at most ``STEPS`` steps, with Nielsen's damping
-    update (Madsen, Nielsen and Tingleff, *Methods for non-linear least
-    squares problems*, 2004, algorithm 3.16).  Each step solves
-    min |r + Jac·h|² + μ|h|² by ``lstsq`` on the stacked system, so JacᵀJac,
-    singular along the directions of P that leave J unchanged, is never
-    formed.  A trial ``P`` whose ``slogdet`` is below −16 is rejected like
+    Built once per search, from the float forms of ``_dense_forms``, when
+    the exact check of J0 fails.  Levenberg–Marquardt on the residual
+    vector, at most ``STEPS`` steps, with Nielsen's damping update (Madsen,
+    Nielsen and Tingleff, *Methods for non-linear least squares problems*,
+    2004, algorithm 3.16).  A zero of the residual stops it at once.  Each
+    step solves min |r + Jac·h|² + μ|h|² by ``lstsq`` on the stacked
+    system, so JacᵀJac, singular along the directions of P that leave J
+    unchanged, is never formed.  A trial ``P`` whose ``slogdet`` is below −16 is rejected like
     one that raises the residual.  ``f`` is the final squared norm of the
     residual vector.
 
@@ -277,43 +276,41 @@ def find_complex_structure(
 ) -> ComplexStructure | None:
     """Search for an exactly integrable complex structure on ``alg``.
 
-    ``budget`` counts random restarts; the trajectory is a deterministic
-    function of ``seed``.  Returns None when the budget is exhausted or no
-    float optimum survives rational reconstruction; both are ordinary
-    outcomes, not errors.  Above dimension ``MAX_OPTIMIZER_DIM`` only the
-    exact check of each restart runs.  Raises ValueError on odd dimension,
-    where no almost-complex structure exists at all.
+    ``budget`` counts the optimizer's restarts, from P = I and then from
+    rational P drawn by a generator seeded with ``seed``, so the result is a
+    deterministic function of ``seed``.  Returns None when ``budget`` is
+    below 1, or when no float optimum survives rational reconstruction;
+    both are ordinary outcomes, not errors.  Above dimension
+    ``MAX_OPTIMIZER_DIM`` only the exact check of J0 runs.  Raises
+    ValueError on odd dimension, where no almost-complex structure exists
+    at all.
     """
     n = alg.dim
     j0 = standard_block_j(n)
+    if budget < 1:
+        return None
+    cs = _verify_candidate(alg, j0)
+    if cs is not None or n > MAX_OPTIMIZER_DIM:
+        return cs
+    floats, residues = _dense_forms(alg, j0)
+    optimize = _float_optimizer(*floats)
     rng = random.Random(seed)
-    optimize = residues = None
-    identity = Matrix.identity(n)
 
     for restart in range(budget):
-        p_exact, p_inv = _random_rational_invertible(rng, n) if restart else (identity, identity)
-        cs = _verify_candidate(alg, p_exact @ j0 @ p_inv)
-        if cs is not None:
-            return cs
-
-        if n > MAX_OPTIMIZER_DIM:
-            continue
-        if optimize is None:
-            floats, residues = _dense_forms(alg, j0)
-            optimize = _float_optimizer(*floats)
-        f, p_float = optimize(p_exact)
+        p = _random_rational_invertible(rng, n) if restart else Matrix.identity(n)
+        f, p_float = optimize(p)
         if f >= DEFAULT_THRESHOLD:
             continue
         for den in range(1, SNAP_DENOMINATOR + 1):
             ints = [round(den * v) for v in p_float.tolist()]
             if _residue_rejects(*residues, ints):
                 continue
-            p_hat = Matrix(n, n, ints).scale(Fraction(1, den))
+            q = Matrix(n, n, ints)  # Q = den·P conjugates J0 to the same J
             try:
-                p_inv = p_hat.inverse()
+                q_inv = q.inverse()
             except ValueError:  # singular
                 continue
-            cs = _verify_candidate(alg, p_hat @ j0 @ p_inv)
+            cs = _verify_candidate(alg, q @ j0 @ q_inv)
             if cs is not None:
                 return cs
     return None

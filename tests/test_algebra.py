@@ -58,6 +58,14 @@ def test_storage_rejects_bad_pairs():
         LieAlgebra(3, ((2, 1, (Fraction(0),) * 3),))
 
 
+def test_the_zero_algebra_is_rejected():
+    # as the file format does; it once failed deep inside is_integrable
+    with pytest.raises(ValueError, match="dimension must be at least 1, got 0"):
+        LieAlgebra(0, [])
+    with pytest.raises(ValueError, match="at least 1"):
+        LieAlgebra.from_brackets(0, {})
+
+
 def test_reordered_triples_are_the_same_algebra():
     hh6 = builtin("hh6")
     reordered = LieAlgebra(6, tuple(reversed(hh6.algebra.structure)))

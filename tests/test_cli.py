@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from liecs import Stratification, Subspace, build_report, builtin, catalog_names, serialize_algebra
-from liecs.cli import _build_parser, main
+from liecs.cli import COMMANDS, _build_parser, main
+from liecs.report import REPORT_COMMANDS
 from liecs.serialization import MAX_DIM
 
 from builders import conjugate_entry, random_invertible
@@ -74,6 +75,15 @@ def test_build_report_rejects_structure_of_another_algebra():
     fr6, ch6 = builtin("fr6"), builtin("ch6")
     with pytest.raises(ValueError, match="bound to a different algebra"):
         build_report("report", "fr6", fr6.algebra, ch6.primary_structure, "standard")
+
+
+def test_build_report_rejects_an_unknown_command():
+    kt4 = builtin("kt4")
+    message = "unknown report command 'reprot': one of validate, series, classify, suite, report"
+    with pytest.raises(ValueError, match=message):
+        build_report("reprot", "kt4", kt4.algebra, kt4.primary_structure, "standard")
+    # the CLI offers the report commands, from the one tuple, and the search
+    assert COMMANDS == (*REPORT_COMMANDS[:-1], "search", "report")
 
 
 @pytest.mark.parametrize("basis", ["own", "scrambled"])

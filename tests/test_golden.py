@@ -13,7 +13,11 @@ is tilted into the second (the report names the stratification property
 and layer that fail).  Both exit 1.  One input is pinned in its own basis
 under ``inputs/`` and run as ``suite`` and ``report`` in JSON: the dim-10
 step-2 algebra of ``builders.step2_twisted_dim10``, on which the theorem
-suite once failed.  The outputs, the input files and
+suite once failed.  The default ``search`` of a4 and kt4 is pinned in
+JSON and in markdown: both are found at restart 0's exact check of the
+standard J0, the only exact check a search makes of a J it did not snap,
+so neither needs numpy.  nn3's search pins the odd-dimension error, which
+exits 1.  The outputs, the input files and
 the exit statuses (``exit_status.json``) must equal the files committed
 under ``tests/golden/``.  ``tests/golden/catalog/`` pins every builtin
 itself: its algebra file with each named J and stratification, and its
@@ -61,6 +65,9 @@ from builders import (
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = ("validate", "series", "classify", "suite", "report")
 FORMATS = {"json": "json", "markdown": "md"}
+# The entries whose default search is pinned: each is found at restart 0's
+# exact check, so the files are produced without numpy.
+SEARCHED = ("a4", "kt4")
 STATUS_FILE = "exit_status.json"
 
 
@@ -134,6 +141,12 @@ def render(workdir: Path) -> dict[str, bytes]:
         for cmd in COMMANDS
         for fmt, ext in FORMATS.items()
     ]
+    runs += [
+        (f"{name}.search.{ext}", [name, "--cmd", "search", "--format", fmt])
+        for name in SEARCHED
+        for fmt, ext in FORMATS.items()
+    ]
+    runs.append(("nn3.search.json", ["nn3", "--cmd", "search"]))
     previous = os.getcwd()
     os.chdir(workdir)
     try:

@@ -154,6 +154,37 @@ def test_scrambled_kt4_outcome_table(seed):
         assert cs.matrix @ cs.matrix == Matrix.identity(4).scale(-1)
 
 
+def golden_scrambled_kt4():
+    path = Path(__file__).parent / "golden" / "scrambled" / "kt4.json"
+    return parse_algebra_file(path.read_bytes()).algebra
+
+
+# The J returned on the golden scrambled kt4 at budget 25, at the two seeds
+# the CI runs through the installed console script: seed 2 snaps at q = 1,
+# seed 4 over a common denominator above 1.
+GOLDEN_KT4_OUTCOMES = {
+    2: [
+        ["-3/5", "2", "9/5", "6/5"],
+        ["-1/5", "0", "3/5", "-3/5"],
+        ["-2/5", "0", "1/5", "4/5"],
+        ["-1/5", "1", "-2/5", "2/5"],
+    ],
+    4: [
+        ["2307/2189", "3161/6567", "6418/6567", "943/6567"],
+        ["-37625/8756", "24163/13134", "111047/52536", "13999/6567"],
+        ["-2307/2189", "-9728/6567", "-32537/13134", "-7510/6567"],
+        ["60223/8756", "5021/13134", "136711/52536", "-2734/6567"],
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_KT4_OUTCOMES))
+def test_golden_scrambled_kt4_outcome(seed):
+    cs = find_complex_structure(golden_scrambled_kt4(), seed=seed, budget=25)
+    assert cs is not None
+    assert cs.matrix == Matrix.from_rows(GOLDEN_KT4_OUTCOMES[seed])
+
+
 def test_snap_loop_is_what_finds_the_scrambled_structure(monkeypatch):
     assert SCRAMBLED_KT4_OUTCOMES[2] is not None
     monkeypatch.setattr(search_module, "SNAP_DENOMINATOR", 0)
@@ -208,8 +239,7 @@ def test_float_machinery_is_built_once_per_search(monkeypatch):
     )
     # a search that snaps: restart 0 fails its exact check, and the J it
     # returns passed the residue, which reads the forms built once
-    path = Path(__file__).parent / "golden" / "scrambled" / "kt4.json"
-    golden_kt4 = parse_algebra_file(path.read_bytes()).algebra
+    golden_kt4 = golden_scrambled_kt4()
     assert find_complex_structure(golden_kt4, seed=2, budget=25) is not None
     assert built == [golden_kt4]
     monkeypatch.setattr(search_module, "_verify_candidate", lambda alg, j: None)
@@ -371,6 +401,33 @@ def test_optimizer_runs_only_up_to_its_dimension_bound(monkeypatch, dim, runs):
     )
     assert find_complex_structure(f4_padded(dim), budget=1) is None
     assert len(calls) == runs
+
+
+def spy(monkeypatch, name):
+    """Count the calls of the search module's ``name``, which still runs."""
+    calls = []
+    original = getattr(search_module, name)
+    monkeypatch.setattr(search_module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "alg, budget, draws",
+    [
+        # no integrable J: restart 0's exact check of J0 fails, and no optimum
+        # reaches the threshold, so no candidate is snapped
+        (builtin("f4").algebra, search_module.DEFAULT_RESTARTS, 99),
+        # above the optimizer's bound the search ends at the check of J0
+        (f4_padded(search_module.MAX_OPTIMIZER_DIM + 2), 5, 0),
+    ],
+    ids=["f4", "f4-padded"],
+)
+def test_a_drawn_restart_only_seeds_the_optimizer(monkeypatch, alg, budget, draws):
+    gate = spy(monkeypatch, "_verify_candidate")
+    drawn = spy(monkeypatch, "_random_rational_invertible")
+    assert find_complex_structure(alg, budget=budget) is None
+    assert [j for _, j in gate] == [search_module.standard_block_j(alg.dim)]
+    assert len(drawn) == draws
 
 
 def test_search_loads_numpy_only_for_the_optimizer():
